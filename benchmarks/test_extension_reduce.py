@@ -9,7 +9,8 @@ reduce algorithm at every size.
 
 import pytest
 
-from repro.estimation.reduce_calibration import calibrate_reduce, time_reduce
+from repro.estimation.workflow import calibrate_platform
+from repro.measure import time_reduce
 from repro.models.reduce_models import DERIVED_REDUCE_MODELS
 from repro.selection.model_based import ModelBasedSelector
 
@@ -20,9 +21,10 @@ PROCS = 100
 
 @pytest.fixture(scope="module")
 def reduce_calibration(gros):
-    return calibrate_reduce(
-        gros, procs=62, sizes=PAPER_SIZES, max_reps=MAX_REPS
+    result = calibrate_platform(
+        gros, operation="reduce", procs=62, sizes=PAPER_SIZES, max_reps=MAX_REPS
     )
+    return result.platform, result.alpha_beta
 
 
 def test_extension_reduce_selection(benchmark, gros, reduce_calibration):

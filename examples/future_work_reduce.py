@@ -16,7 +16,8 @@ Run:  python examples/future_work_reduce.py
 """
 
 from repro.clusters import MINICLUSTER
-from repro.estimation.reduce_calibration import calibrate_reduce, time_reduce
+from repro.estimation.workflow import calibrate_platform
+from repro.measure import time_reduce
 from repro.models.reduce_models import DERIVED_REDUCE_MODELS
 from repro.selection.model_based import ModelBasedSelector
 from repro.selection.ompi_fixed import OmpiFixedSelector
@@ -31,7 +32,7 @@ def main() -> None:
     print(f"Platform: {cluster.describe()}")
 
     print("\nCalibrating the reduce family (the paper's §4, dualised)...")
-    platform, estimates = calibrate_reduce(cluster, procs=8)
+    platform = calibrate_platform(cluster, operation="reduce", procs=8).platform
     for name in platform.algorithms:
         print(f"  {name:20s} {platform.parameters[name]}")
 

@@ -164,13 +164,13 @@ def _cmd_fig5(args) -> int:
 
 def _cmd_reduce_table(args) -> int:
     from repro.collectives.reduce import DEFAULT_REDUCE_ALGORITHMS
-    from repro.estimation.reduce_calibration import calibrate_reduce, time_reduce
+    from repro.measure import time_reduce
     from repro.selection.ompi_fixed import OmpiFixedSelector
 
     spec = get_preset(args.cluster)
-    platform, _estimates = calibrate_reduce(
-        spec, max_reps=args.max_reps, seed=args.seed
-    )
+    platform = calibrate_platform(
+        spec, operation="reduce", max_reps=args.max_reps, seed=args.seed
+    ).platform
     model_selector = ModelBasedSelector(platform)
     ompi_selector = OmpiFixedSelector(operation="reduce")
     print(f"P={args.procs}, MPI_Reduce, {spec.name}")

@@ -3,8 +3,13 @@
 :func:`calibrate_platform` runs the paper's full §4 procedure on a cluster:
 
 1. estimate γ(P) from non-blocking linear broadcast experiments (§4.1);
-2. for each broadcast algorithm, estimate α and β from broadcast+gather
-   experiments solved by Huber regression (§4.2).
+2. for each algorithm, estimate α and β from experiments that contain it
+   (for the broadcast: broadcast+gather), solved by Huber regression
+   (§4.2).
+
+The same function calibrates every collective with a model family; the
+per-operation differences live in
+:data:`~repro.estimation.alphabeta.OPERATION_PROFILES`.
 
 The result, a :class:`PlatformModel`, is everything the runtime selector
 needs: it predicts any algorithm's time for any ``(P, m)`` in microseconds
@@ -12,8 +17,8 @@ of arithmetic, and serialises to/from JSON so a calibration can be done
 once per cluster and shipped with the MPI library — the deployment model
 the paper proposes.
 
-For the ablation studies the calibration can swap the model family
-(``"derived"`` vs ``"traditional"``) and the estimation method
+For the ablation studies the broadcast calibration can swap the model
+family (``"derived"`` vs ``"traditional"``) and the estimation method
 (``"collective"`` in-context experiments vs classical ``"p2p"``
 ping-pongs).
 """
@@ -31,10 +36,12 @@ from repro.errors import EstimationError
 from repro.estimation.alphabeta import (
     DEFAULT_GATHER_BYTES,
     DEFAULT_SIZES,
+    OPERATION_PROFILES,
     AlphaBeta,
-    FitQuality,
     alphabeta_prefetch_jobs,
     estimate_alpha_beta,
+    operation_profile,
+    sweep_points,
 )
 from repro.estimation.gamma import (
     DEFAULT_MAX_PROCS,
@@ -76,15 +83,9 @@ MODEL_FAMILIES = {
 
 #: Which collective operation each model family describes.
 FAMILY_OPERATION = {
-    "derived": "bcast",
-    "traditional": "bcast",
-    "reduce_derived": "reduce",
-    "gather_derived": "gather",
-    "barrier_derived": "barrier",
-    "allreduce_derived": "allreduce",
-    "allgather_derived": "allgather",
-    "alltoall_derived": "alltoall",
-    "scatter_derived": "scatter",
+    family: profile.operation
+    for profile in OPERATION_PROFILES.values()
+    for family in profile.model_families
 }
 
 ESTIMATION_METHODS = ("collective", "p2p")
@@ -257,7 +258,8 @@ class CalibrationResult:
     """A :class:`PlatformModel` plus the raw estimates behind it."""
 
     platform: PlatformModel
-    gamma_estimate: GammaEstimate
+    #: The γ(P) estimate (None for operations with the ideal γ).
+    gamma_estimate: GammaEstimate | None
     alpha_beta: dict[str, AlphaBeta]
     p2p_estimate: P2pEstimate | None
 
@@ -287,9 +289,11 @@ class CalibrationResult:
 def calibrate_platform(
     spec: ClusterSpec,
     *,
+    operation: str = "bcast",
     procs: int | None = None,
+    proc_counts: Sequence[int] | None = None,
     algorithms: Sequence[str] | None = None,
-    model_family: str = "derived",
+    model_family: str | None = None,
     estimation: str = "collective",
     gamma_method: str = "direct",
     segment_size: int = DEFAULT_SEGMENT_SIZE,
@@ -306,18 +310,25 @@ def calibrate_platform(
     strict: QualityThresholds | None = None,
     model_params: dict | None = None,
 ) -> CalibrationResult:
-    """Run the paper's full calibration procedure on ``spec``.
+    """Run the paper's full calibration procedure for ``operation`` on ``spec``.
 
-    With the defaults this is exactly §4: γ from collective experiments,
-    then per-algorithm α/β from broadcast+gather experiments fitted by
-    Huber regression.  ``estimation="p2p"`` replaces step 2 with one
-    ping-pong fit shared by all algorithms (the ablation baseline).
+    With the defaults this is exactly §4 for the broadcast: γ from
+    collective experiments, then per-algorithm α/β from broadcast+gather
+    experiments fitted by Huber regression.  Every other collective runs
+    the same procedure with the experiment its
+    :data:`~repro.estimation.alphabeta.OPERATION_PROFILES` entry describes
+    (γ is estimated for bcast and reduce only; the barrier sweeps
+    ``proc_counts`` instead of ``procs`` and ``sizes``).  ``model_family``
+    defaults to the operation's derived family.  Two ablations are
+    broadcast-only: ``estimation="p2p"`` replaces the α/β step with one
+    ping-pong fit shared by all algorithms, and
+    ``model_family="traditional"`` swaps in the traditional models.
 
     All simulations route through ``runner`` (default: the process-wide
-    runner).  The *entire* experiment schedule — γ plus every algorithm's
-    sweep — is prefetched as one batch up front, so with a parallel runner
-    the whole calibration's simulations run concurrently and the serial
-    estimation stages replay from the memo.
+    runner).  The sweep is validated first; then the *entire* experiment
+    schedule — γ plus every algorithm's sweep — is prefetched as one batch,
+    so with a parallel runner the whole calibration's simulations run
+    concurrently and the serial estimation stages replay from the memo.
 
     Robustness knobs (all default off; the vanilla calibration is
     bit-identical to earlier releases): ``screen_mad`` / ``retry_budget``
@@ -325,66 +336,89 @@ def calibrate_platform(
     thresholds makes the calibration *fail* (:class:`EstimationError`)
     instead of silently returning fits that miss them.
     """
+    profile = operation_profile(operation)
     if estimation not in ESTIMATION_METHODS:
         raise EstimationError(
             f"unknown estimation method {estimation!r}; use {ESTIMATION_METHODS}"
         )
+    if model_family is None:
+        model_family = profile.model_families[0]
     family = MODEL_FAMILIES[model_family]  # validates the family name
-    if algorithms is None:
-        # Default to the paper's six broadcast algorithms; extension models
-        # (e.g. scatter_allgather) are opt-in via an explicit list.
-        from repro.collectives.bcast import PAPER_BCAST_ALGORITHMS
-
-        algorithms = sorted(
-            name for name in family if name in PAPER_BCAST_ALGORITHMS
+    if model_family not in profile.model_families:
+        raise EstimationError(
+            f"{operation} calibration cannot use the {model_family!r} model "
+            f"family; use {profile.model_families}"
         )
+    if estimation == "p2p" and operation != "bcast":
+        raise EstimationError("the p2p estimation ablation is bcast-only")
+    if estimation == "collective":
+        sweep_points(
+            spec, profile, procs=procs, sizes=sizes, proc_counts=proc_counts
+        )
+    if algorithms is None:
+        algorithms = sorted(
+            name
+            for name in family
+            if profile.default_algorithms is None
+            or name in profile.default_algorithms
+        )
+    sweep = dict(
+        operation=operation,
+        procs=procs,
+        sizes=sizes,
+        proc_counts=proc_counts,
+        segment_size=segment_size,
+        gather_bytes=gather_bytes,
+    )
 
     with obs.span(
         "calibrate.platform",
+        operation=operation,
         cluster=spec.name,
         estimation=estimation,
         model_family=model_family,
         algorithms=",".join(algorithms),
     ):
         runner = runner if runner is not None else default_runner()
-        batch = gamma_prefetch_jobs(
-            spec,
-            segment_size=segment_size,
-            max_procs=gamma_max_procs,
-            method=gamma_method,
-            seed=seed,
-        )
+        batch = []
+        if profile.gamma:
+            batch += gamma_prefetch_jobs(
+                spec,
+                segment_size=segment_size,
+                max_procs=gamma_max_procs,
+                method=gamma_method,
+                seed=seed,
+            )
         if estimation == "p2p":
             batch += p2p_prefetch_jobs(spec, sizes=sizes, seed=seed)
         else:
-            ab_procs = procs if procs is not None else max(2, spec.max_procs // 2)
             for index, name in enumerate(algorithms):
                 batch += alphabeta_prefetch_jobs(
                     spec,
                     name,
-                    procs=ab_procs,
-                    sizes=sizes,
-                    segment_size=segment_size,
-                    gather_bytes=gather_bytes,
-                    seed=seed + 2_000_017 * (index + 1),
+                    seed=seed + profile.seed_stride * (index + 1),
+                    **sweep,
                 )
         with obs.span(
             "calibrate.prefetch", jobs=len(batch), batched=runner.batch
         ):
             runner.prefetch(batch)
 
-        gamma_estimate = estimate_gamma(
-            spec,
-            segment_size=segment_size,
-            max_procs=gamma_max_procs,
-            method=gamma_method,
-            precision=precision,
-            max_reps=max_reps,
-            seed=seed,
-            runner=runner,
-            prefetch=False,
-        )
-        gamma = gamma_estimate.function()
+        gamma_estimate: GammaEstimate | None = None
+        gamma = GammaFunction.ideal()
+        if profile.gamma:
+            gamma_estimate = estimate_gamma(
+                spec,
+                segment_size=segment_size,
+                max_procs=gamma_max_procs,
+                method=gamma_method,
+                precision=precision,
+                max_reps=max_reps,
+                seed=seed,
+                runner=runner,
+                prefetch=False,
+            )
+            gamma = gamma_estimate.function()
 
         alpha_beta: dict[str, AlphaBeta] = {}
         parameters: dict[str, HockneyParams] = {}
@@ -408,25 +442,22 @@ def calibrate_platform(
                 estimate = estimate_alpha_beta(
                     spec,
                     model,
-                    procs=procs,
-                    sizes=sizes,
-                    segment_size=segment_size,
-                    gather_bytes=gather_bytes,
                     regressor=regressor,
                     precision=precision,
                     max_reps=max_reps,
-                    seed=seed + 2_000_017 * (index + 1),
+                    seed=seed + profile.seed_stride * (index + 1),
                     runner=runner,
                     prefetch=False,
                     screen_mad=screen_mad,
                     retry_budget=retry_budget,
+                    **sweep,
                 )
                 alpha_beta[name] = estimate
                 parameters[name] = estimate.params
 
         platform = PlatformModel(
             cluster=spec.name,
-            segment_size=segment_size,
+            segment_size=segment_size if profile.segmented else 0,
             gamma=gamma,
             parameters=parameters,
             model_family=model_family,

@@ -20,6 +20,7 @@ from repro.estimation.registry import (
     get_pipeline,
     register_pipeline,
     registered_collectives,
+    run_pipeline,
     unregister_pipeline,
 )
 from repro.estimation.workflow import QualityThresholds
@@ -99,7 +100,7 @@ class TestKwargContract:
 
     def test_gamma_max_procs_accepted_by_reduce(self):
         # Regression: the reduce pipeline used to silently ignore
-        # gamma_max_procs; it must now forward it to calibrate_reduce.
+        # gamma_max_procs; it must now forward it to the calibration.
         assert "gamma_max_procs" in get_pipeline("reduce").accepts
 
     def test_duplicate_registration_refused_unless_replaced(self):
@@ -118,6 +119,105 @@ class TestKwargContract:
             unregister_pipeline("_test_dup")
         with pytest.raises(ArtifactError, match="no calibration pipeline"):
             get_pipeline("_test_dup")
+
+
+#: The calibration kwargs of a size sweep without γ or segmentation.
+_SIZE_SWEEP = frozenset(
+    {
+        "procs", "algorithms", "sizes", "regressor", "precision",
+        "max_reps", "seed", "screen_mad", "retry_budget",
+    }
+)
+_SIBLING_ONLY = frozenset({"gamma_max_procs", "segment_size", "model_params"})
+
+#: Each built-in pipeline's kwarg contract: (accepts, tolerates,
+#: size_independent).  Spelled out literally so a change to the profile
+#: table cannot silently widen or narrow what a build accepts.
+KWARG_CONTRACT = {
+    "bcast": (
+        _SIZE_SWEEP | _SIBLING_ONLY | {
+            "model_family", "estimation", "gamma_method", "gather_bytes",
+            "strict",
+        },
+        frozenset(),
+        False,
+    ),
+    "reduce": (_SIZE_SWEEP | _SIBLING_ONLY, frozenset(), False),
+    "gather": (_SIZE_SWEEP, _SIBLING_ONLY, False),
+    "barrier": (
+        frozenset(
+            {
+                "proc_counts", "algorithms", "precision", "max_reps",
+                "seed", "retry_budget",
+            }
+        ),
+        frozenset(
+            {
+                "procs", "sizes", "segment_size", "gamma_max_procs",
+                "screen_mad", "regressor", "model_params",
+            }
+        ),
+        True,
+    ),
+    "allreduce": (_SIZE_SWEEP, _SIBLING_ONLY, False),
+    "allgather": (_SIZE_SWEEP, _SIBLING_ONLY, False),
+    "alltoall": (_SIZE_SWEEP, _SIBLING_ONLY, False),
+    "scatter": (_SIZE_SWEEP, _SIBLING_ONLY, False),
+}
+
+
+class TestPinnedKwargContract:
+    @pytest.mark.parametrize("operation", ALL_PIPELINES)
+    def test_contract_matches_pinned_sets(self, operation):
+        accepts, tolerates, size_independent = KWARG_CONTRACT[operation]
+        pipeline = get_pipeline(operation)
+        assert pipeline.accepts == accepts
+        assert pipeline.tolerates == tolerates
+        assert pipeline.size_independent is size_independent
+
+
+#: Out-of-range sweep inputs per operation (the barrier sweeps
+#: ``proc_counts``; ``procs`` and ``sizes`` are only tolerated there).
+_BAD_SWEEPS = [
+    (operation, bad)
+    for operation in ALL_PIPELINES
+    for bad in (
+        (
+            {"proc_counts": (99,)},
+            {"proc_counts": (1,)},
+            {"proc_counts": ()},
+        )
+        if operation == "barrier"
+        else (
+            {"procs": 99},
+            {"procs": 1},
+            {"sizes": (8 * KiB,)},
+            {"sizes": (-1, 8 * KiB)},
+        )
+    )
+]
+
+
+class TestSweepValidation:
+    @pytest.mark.parametrize(
+        "operation,bad", _BAD_SWEEPS,
+        ids=[
+            f"{op}-" + ",".join(f"{key}={value}" for key, value in bad.items())
+            for op, bad in _BAD_SWEEPS
+        ],
+    )
+    def test_out_of_range_sweep_fails_before_simulating(self, operation, bad):
+        # Regression: procs used to be checked only inside the estimator,
+        # after the whole prefetch batch had run, and escaped as an untyped
+        # SimulationError when the batch itself could not be simulated.
+        runner = ParallelRunner(jobs=1)
+        kwargs = {**CALIB_KWARGS, **bad}
+        try:
+            with pytest.raises(ArtifactError, match=f"{operation} calibration failed"):
+                run_pipeline(MINICLUSTER, operation, runner=runner, **kwargs)
+            assert runner.stats.simulations == 0
+        finally:
+            runner.close()
 
 
 class TestGammaMaxProcsForwarding:

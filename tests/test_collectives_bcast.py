@@ -354,7 +354,7 @@ class TestZeroByteConvention:
             assert model.predict(8, 0, 0, params) > 0.0, name
 
     def test_reduce_is_a_noop_too(self):
-        from repro.estimation.reduce_calibration import time_reduce
+        from repro.measure import time_reduce
         from repro.collectives.reduce import REDUCE_ALGORITHMS
 
         for name in REDUCE_ALGORITHMS:

@@ -71,6 +71,24 @@ class TestCalibration:
         with pytest.raises(KeyError):
             calibrate_platform(MINICLUSTER, model_family="quantum")
 
+    def test_ablations_are_bcast_only(self):
+        with pytest.raises(EstimationError, match="bcast-only"):
+            calibrate_platform(MINICLUSTER, operation="reduce", estimation="p2p")
+        with pytest.raises(EstimationError, match="traditional"):
+            calibrate_platform(
+                MINICLUSTER, operation="gather", model_family="traditional"
+            )
+
+    def test_unknown_operation_rejected(self):
+        with pytest.raises(EstimationError, match="no calibration profile"):
+            calibrate_platform(MINICLUSTER, operation="reduce_scatter")
+
+    def test_sweep_axis_mismatch_rejected(self):
+        with pytest.raises(EstimationError, match="proc_counts does not apply"):
+            calibrate_platform(MINICLUSTER, proc_counts=(4, 8))
+        with pytest.raises(EstimationError, match="procs does not apply"):
+            calibrate_platform(MINICLUSTER, operation="barrier", procs=4)
+
 
 class TestPlatformModel:
     def make_platform(self):

@@ -287,3 +287,4 @@ class TestWiring:
             if s.name == "estimate.alphabeta"
         ]
         assert alphabeta[0].attributes["algorithm"] == "binomial"
+        assert alphabeta[0].attributes["operation"] == "bcast"

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.clusters import MINICLUSTER
-from repro.estimation.reduce_calibration import (
-    calibrate_reduce,
-    estimate_reduce_alpha_beta,
-    time_reduce,
-)
+from repro.estimation.workflow import calibrate_platform
+from repro.measure import time_reduce
 from repro.models.gamma import GammaFunction
 from repro.models.reduce_models import DERIVED_REDUCE_MODELS
 from repro.selection.model_based import ModelBasedSelector
@@ -18,13 +15,15 @@ GAMMA = GammaFunction({3: 1.1, 5: 1.3, 7: 1.5})
 
 @pytest.fixture(scope="module")
 def reduce_calibration():
-    return calibrate_reduce(
+    result = calibrate_platform(
         MINICLUSTER,
+        operation="reduce",
         procs=8,
         sizes=[8 * KiB, 64 * KiB, 256 * KiB, 1024 * KiB],
         gamma_max_procs=5,
         max_reps=3,
     )
+    return result.platform, result.alpha_beta
 
 
 class TestReduceModels:

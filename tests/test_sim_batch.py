@@ -21,9 +21,6 @@ from repro.collectives import BARRIER_ALGORITHMS, GATHER_ALGORITHMS
 from repro.collectives.bcast import PAPER_BCAST_ALGORITHMS
 from repro.collectives.reduce import REDUCE_ALGORITHMS
 from repro.estimation.alphabeta import alphabeta_prefetch_jobs
-from repro.estimation.barrier_calibration import barrier_prefetch_jobs
-from repro.estimation.gather_calibration import gather_prefetch_jobs
-from repro.estimation.reduce_calibration import reduce_alphabeta_prefetch_jobs
 from repro.exec import ParallelRunner, ResultCache, SimJob, execute_job
 from repro.faults.plan import FaultPlan, StragglerFault
 from repro.sim.batch import BatchSimulator, dedupe_key, noise_free
@@ -44,14 +41,16 @@ def calibration_grid(spec, procs):
             spec, algorithm, procs=procs, sizes=SIZES
         )
     for algorithm in REDUCE_ALGORITHMS:
-        jobs += reduce_alphabeta_prefetch_jobs(
-            spec, algorithm, procs=procs, sizes=SIZES
+        jobs += alphabeta_prefetch_jobs(
+            spec, algorithm, operation="reduce", procs=procs, sizes=SIZES
         )
     for algorithm in GATHER_ALGORITHMS:
-        jobs += gather_prefetch_jobs(spec, algorithm, procs=procs, sizes=SIZES)
+        jobs += alphabeta_prefetch_jobs(
+            spec, algorithm, operation="gather", procs=procs, sizes=SIZES
+        )
     for algorithm in BARRIER_ALGORITHMS:
-        jobs += barrier_prefetch_jobs(
-            spec, algorithm, proc_counts=(4, procs)
+        jobs += alphabeta_prefetch_jobs(
+            spec, algorithm, operation="barrier", proc_counts=(4, procs)
         )
     return jobs
 
