@@ -360,16 +360,10 @@ def _cmd_serve(args) -> int:
             port=args.port,
             workers=args.workers,
             admin_port=args.admin_port,
-            cache_size=args.cache_size,
         )
     from repro.service.server import serve
 
-    return serve(
-        args.artifacts,
-        host=args.host,
-        port=args.port,
-        cache_size=args.cache_size,
-    )
+    return serve(args.artifacts, host=args.host, port=args.port)
 
 
 def _cmd_cache(args) -> int:
@@ -687,8 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory of artifact JSON files")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument("--cache-size", type=int, default=4096,
-                       help="LRU query-cache capacity")
     serve.add_argument("--workers", type=int, default=1,
                        help="SO_REUSEPORT worker processes sharing the "
                             "port (1 = single process, no supervisor)")

@@ -21,7 +21,11 @@ from repro.selection.codegen import (
     generate_c,
     generate_python,
 )
-from repro.selection.decision_table import DecisionTable, build_decision_table
+from repro.selection.decision_table import (
+    DecisionTable,
+    build_decision_table,
+    floor_cell,
+)
 from repro.selection.flat_table import FlatDecisionTable
 from repro.selection.model_based import ModelBasedSelector
 from repro.selection.ompi_fixed import (
@@ -44,6 +48,7 @@ __all__ = [
     "algorithm_ids_for",
     "build_decision_table",
     "compile_python",
+    "floor_cell",
     "generate_c",
     "generate_python",
     "ompi_barrier_decision",

@@ -170,6 +170,8 @@ def generate_c(table: DecisionTable, function_name: str = "coll_bcast_dec_genera
         f"{table.proc_points[0]} or message_size < "
         f"{table.size_points[0]}) clamp to the first grid cell.",
         " */",
+        "#include <stddef.h>",
+        "",
         f"int {function_name}(int communicator_size, size_t message_size,",
         f"{' ' * (len(function_name) + 5)}int *algorithm, size_t *segsize)",
         "{",

@@ -10,8 +10,8 @@ round-trips such tables.
 
 from __future__ import annotations
 
-import bisect
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -19,6 +19,26 @@ from typing import Sequence
 from repro.errors import SelectionError
 from repro.selection.model_based import ModelBasedSelector
 from repro.selection.oracle import Selection
+
+
+def floor_cell(
+    proc_points: Sequence[int],
+    size_points: Sequence[int],
+    procs: int,
+    nbytes: int,
+) -> tuple[int, int, bool]:
+    """The floor rule every lookup of a decision grid uses.
+
+    Returns ``(i, j, clamped)``: the row and column of the grid cell at
+    or below ``(procs, nbytes)`` on sorted, non-empty axes.  A query
+    *below* the grid on either axis clamps to the first cell on that axis
+    and sets ``clamped``; above-grid queries are plain floor lookups.
+    """
+    i = bisect_right(proc_points, procs) - 1
+    j = bisect_right(size_points, nbytes) - 1
+    if i < 0 or j < 0:
+        return max(i, 0), max(j, 0), True
+    return i, j, False
 
 
 @dataclass(frozen=True)
@@ -44,11 +64,6 @@ class DecisionTable:
         ):
             raise SelectionError("choices shape does not match the grid")
 
-    @staticmethod
-    def _floor_index(points: Sequence[int], value: int) -> int:
-        index = bisect.bisect_right(points, value) - 1
-        return max(index, 0)
-
     def select(self, procs: int, nbytes: int) -> Selection:
         """Floor-lookup the selection for ``(procs, nbytes)``."""
         return self.lookup(procs, nbytes)[0]
@@ -67,9 +82,9 @@ class DecisionTable:
         clamp happened.  Above-grid queries are genuine floor lookups,
         not clamps.
         """
-        i = self._floor_index(self.proc_points, procs)
-        j = self._floor_index(self.size_points, nbytes)
-        clamped = procs < self.proc_points[0] or nbytes < self.size_points[0]
+        i, j, clamped = floor_cell(
+            self.proc_points, self.size_points, procs, nbytes
+        )
         return self.choices[i][j], clamped
 
     # -- serialisation -----------------------------------------------------

@@ -14,28 +14,25 @@ arrays —
   ``algorithms`` (the deduplicated name list);
 * ``segment_sizes`` — one int per cell, row-major.
 
-A lookup is then two ``bisect_right`` calls and two list indexes — no
-dict walks, no dataclass attribute access, no per-query allocation.
-:meth:`FlatDecisionTable.lookup` is bit-identical to
-:meth:`DecisionTable.lookup` (same floor semantics, same below-grid
-clamp flag); ``tests/test_flat_table.py`` holds the differential
-property test across all eight collectives.
+A lookup is then one :func:`~repro.selection.decision_table.floor_cell`
+call and two tuple indexes — no dict walks, no dataclass attribute
+access.  :meth:`FlatDecisionTable.lookup` uses the same floor rule as
+:meth:`DecisionTable.lookup`, so the two agree by construction;
+``tests/test_flat_table.py`` holds the differential property test across
+all eight collectives.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 from repro.errors import SelectionError
-from repro.selection.decision_table import DecisionTable
+from repro.selection.decision_table import DecisionTable, floor_cell
 
 
 class FlatDecisionTable:
     """A decision grid compiled to flat parallel arrays.
 
     Attributes are public and immutable by convention — the serving layer
-    reads them directly (inlining the bisect into its own hot loop) and
-    must never mutate them.
+    reads them directly and must never mutate them.
     """
 
     __slots__ = (
@@ -46,8 +43,6 @@ class FlatDecisionTable:
         "algorithm_ids",
         "segment_sizes",
         "n_sizes",
-        "min_procs",
-        "min_size",
     )
 
     def __init__(
@@ -78,8 +73,6 @@ class FlatDecisionTable:
         self.algorithm_ids = algorithm_ids
         self.segment_sizes = segment_sizes
         self.n_sizes = len(size_points)
-        self.min_procs = proc_points[0]
-        self.min_size = size_points[0]
 
     @classmethod
     def from_table(
@@ -107,44 +100,15 @@ class FlatDecisionTable:
             segment_sizes=tuple(segments),
         )
 
-    def cell_index(self, procs: int, nbytes: int) -> int:
-        """Row-major index of the floor cell for ``(procs, nbytes)``."""
-        i = bisect_right(self.proc_points, procs) - 1
-        if i < 0:
-            i = 0
-        j = bisect_right(self.size_points, nbytes) - 1
-        if j < 0:
-            j = 0
-        return i * self.n_sizes + j
-
     def lookup(self, procs: int, nbytes: int) -> tuple[str, int, bool]:
         """``(algorithm, segment_size, clamped)`` — the flat counterpart
-        of :meth:`DecisionTable.lookup`, bit-identical by construction
-        and by the differential test."""
-        k = self.cell_index(procs, nbytes)
+        of :meth:`DecisionTable.lookup`."""
+        i, j, clamped = floor_cell(
+            self.proc_points, self.size_points, procs, nbytes
+        )
+        k = i * self.n_sizes + j
         return (
             self.algorithms[self.algorithm_ids[k]],
             self.segment_sizes[k],
-            procs < self.min_procs or nbytes < self.min_size,
+            clamped,
         )
-
-    def lookup_many(
-        self, queries: "list[tuple[int, int]]"
-    ) -> "list[tuple[str, int, bool]]":
-        """Answer a batch of ``(procs, nbytes)`` pairs in one pass."""
-        cell_index = self.cell_index
-        algorithms = self.algorithms
-        ids = self.algorithm_ids
-        segments = self.segment_sizes
-        min_procs = self.min_procs
-        min_size = self.min_size
-        out = []
-        append = out.append
-        for procs, nbytes in queries:
-            k = cell_index(procs, nbytes)
-            append((
-                algorithms[ids[k]],
-                segments[k],
-                procs < min_procs or nbytes < min_size,
-            ))
-        return out

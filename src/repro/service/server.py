@@ -27,9 +27,10 @@ GET       /metrics      Prometheus text format
 POST      /reload       rescan the artifact directory (also ``SIGHUP``)
 ========  ============  =================================================
 
-The hot path is bisect over flat parallel arrays plus pre-rendered JSON
-fragments — no simulation, no model evaluation, no per-query dict walks
-— so a query costs single-digit microseconds; the load harness
+The hot path is one floor-cell lookup in flat parallel arrays plus
+pre-rendered JSON fragments — no simulation, no model evaluation, no
+per-query dict walks — so a query costs single-digit microseconds; the
+load harness
 (``benchmarks/run_service_bench.py``) asserts p99 latency and that served
 selections are bit-identical to offline ``DecisionTable.select``.  For
 multi-core machines, :mod:`repro.service.shard` runs several processes
@@ -46,12 +47,12 @@ import signal
 import socket
 import threading
 import time
-from bisect import bisect_right
 from collections import OrderedDict
 from pathlib import Path
 
 from repro import obs
 from repro.errors import ArtifactError, PortInUseError, ServiceError
+from repro.selection.decision_table import floor_cell
 from repro.service.artifact import ArtifactRegistry, SelectionArtifact
 from repro.service.metrics import ServiceMetrics
 
@@ -59,6 +60,9 @@ _logger = logging.getLogger("repro.service")
 
 #: Most queries allowed in one batched ``POST /select``.
 MAX_BATCH = 4096
+
+#: Entries in the single-query LRU cache (one per distinct query).
+QUERY_CACHE_SIZE = 4096
 
 #: Largest accepted request body, in bytes.
 MAX_BODY = 4 << 20
@@ -100,7 +104,7 @@ class RequestError(ServiceError):
 class LruCache:
     """Bounded query cache with hit/miss accounting."""
 
-    def __init__(self, maxsize: int = 4096):
+    def __init__(self, maxsize: int = QUERY_CACHE_SIZE):
         self.maxsize = max(1, int(maxsize))
         self.hits = 0
         self.misses = 0
@@ -154,17 +158,15 @@ class _CompiledOp:
     Everything that does not depend on ``(procs, nbytes)`` is rendered
     once per artifact load: a JSON *prefix* (cluster + operation), a
     per-grid-cell JSON *suffix* in plain and clamped variants (algorithm,
-    segment size, artifact id, fabric, clamp marker), the result dict
-    each cell corresponds to, and the precomputed metric label keys.
-    Answering a query is then two bisects, one ``%``-format for the two
-    integers, and one bytes concatenation.
+    segment size, artifact id, fabric, clamp marker), and the precomputed
+    metric label keys.  :attr:`render` answers a query with one
+    :func:`floor_cell` call, one ``%``-format for the two integers and
+    one bytes concatenation.
     """
 
     __slots__ = (
-        "cluster", "operation", "fabric",
-        "proc_points", "size_points", "n_sizes", "min_procs", "min_size",
-        "algorithm_ids", "segment_sizes", "algorithms",
-        "prefix", "suffixes", "cell_results", "sel_keys", "clamp_key",
+        "cluster", "operation", "fabric", "table",
+        "sel_keys", "clamp_key", "render",
     )
 
     #: The two query integers are the only per-request variance in a
@@ -178,29 +180,23 @@ class _CompiledOp:
         fabric: str,
         artifact: SelectionArtifact,
     ):
-        flat = artifact.flat_tables()[operation]
+        table = artifact.flat_tables()[operation]
         self.cluster = cluster
         self.operation = operation
         self.fabric = fabric
-        self.proc_points = flat.proc_points
-        self.size_points = flat.size_points
-        self.n_sizes = flat.n_sizes
-        self.min_procs = flat.min_procs
-        self.min_size = flat.min_size
-        self.algorithm_ids = flat.algorithm_ids
-        self.segment_sizes = flat.segment_sizes
-        self.algorithms = flat.algorithms
-        self.prefix = (
+        self.table = table
+        prefix = (
             '{"cluster":%s,"operation":%s,'
             % (json.dumps(cluster), json.dumps(operation))
         ).encode("utf-8")
         artifact_json = json.dumps(artifact.artifact_id)
         fabric_tail = ',"fabric":%s' % json.dumps(fabric) if fabric else ""
         suffixes = []
-        cell_results = []
         sel_keys = []
-        for algorithm_id, segment in zip(flat.algorithm_ids, flat.segment_sizes):
-            algorithm = flat.algorithms[algorithm_id]
+        for algorithm_id, segment in zip(
+            table.algorithm_ids, table.segment_sizes
+        ):
+            algorithm = table.algorithms[algorithm_id]
             text = (
                 '"algorithm":%s,"segment_size":%d,"artifact":%s%s'
                 % (json.dumps(algorithm), segment, artifact_json, fabric_tail)
@@ -210,54 +206,30 @@ class _CompiledOp:
                 (text.encode("utf-8"),
                  (text + ',"clamped":true').encode("utf-8"))
             )
-            base = {
-                "algorithm": algorithm,
-                "segment_size": segment,
-                "artifact": artifact.artifact_id,
-            }
-            if fabric:
-                base["fabric"] = fabric
-            cell_results.append(base)
             # The exact key Counter.inc(operation=..., algorithm=...)
             # would build (label pairs sorted by name).
             sel_keys.append((("algorithm", algorithm), ("operation", operation)))
-        self.suffixes = suffixes
-        self.cell_results = cell_results
         self.sel_keys = sel_keys
         self.clamp_key = (("operation", operation),)
 
-    def cell(self, procs: int, nbytes: int) -> tuple[int, bool]:
-        """Row-major floor-cell index plus the below-grid clamp flag.
+        # The grid axes are bound as closure cells rather than read off
+        # ``self.table`` per call: the attribute walks are measurable at
+        # 10^5 queries/s.
+        proc_points = table.proc_points
+        size_points = table.size_points
+        n_sizes = table.n_sizes
+        mid = self.MID
 
-        Bit-identical to :meth:`DecisionTable.lookup` by construction
-        (same ``bisect_right - 1`` floor, same clamp condition); the
-        differential test in ``tests/test_flat_table.py`` holds the line.
-        """
-        i = bisect_right(self.proc_points, procs) - 1
-        if i < 0:
-            i = 0
-        j = bisect_right(self.size_points, nbytes) - 1
-        if j < 0:
-            j = 0
-        return (
-            i * self.n_sizes + j,
-            procs < self.min_procs or nbytes < self.min_size,
-        )
+        def render(procs: int, nbytes: int) -> tuple[bytes, int, bool]:
+            """``(fragment, cell, clamped)`` for one query: the result
+            object's JSON minus its closing brace, the row-major grid
+            cell, and the below-grid clamp flag."""
+            i, j, clamped = floor_cell(proc_points, size_points, procs, nbytes)
+            k = i * n_sizes + j
+            fragment = prefix + mid % (procs, nbytes) + suffixes[k][clamped]
+            return fragment, k, clamped
 
-
-class _CachedAnswer:
-    """What the LRU stores per query key: the pre-rendered JSON fragment
-    (everything but the closing brace and the per-request trace id), the
-    result dict (handed out only as copies — a response-path annotation
-    must never mutate cached state), and precomputed metric keys."""
-
-    __slots__ = ("fragment", "result", "sel_key", "clamp_key")
-
-    def __init__(self, fragment, result, sel_key, clamp_key):
-        self.fragment = fragment
-        self.result = result
-        self.sel_key = sel_key
-        self.clamp_key = clamp_key
+        self.render = render
 
 
 class SelectionService:
@@ -267,12 +239,11 @@ class SelectionService:
         self,
         registry: ArtifactRegistry,
         *,
-        cache_size: int = 4096,
         metrics: ServiceMetrics | None = None,
     ):
         self.registry = registry
         self.metrics = metrics or ServiceMetrics()
-        self.cache = LruCache(cache_size)
+        self.cache = LruCache(QUERY_CACHE_SIZE)
         self.metrics.artifacts_loaded.set(len(registry))
         #: Why the service is serving last-known-good data, or ``None``
         #: while healthy.  Set by :meth:`reload` (and by a failed
@@ -392,29 +363,33 @@ class SelectionService:
             self._compiled[key] = op
         return op
 
-    def _emit_sample(self, result: dict) -> None:
+    def _emit_sample(
+        self, op: _CompiledOp, procs: int, nbytes: int, k: int
+    ) -> None:
         # Forced span: exists (and runs the recorder's finish hooks,
         # where the sampler listens) even while tracing is off.  The
         # span carries the full served decision so the self-tuning
         # loop can replay it against a measured oracle later, off the
         # request path.
+        table = op.table
         with obs.span(
             "select.query",
             force=True,
-            cluster=result["cluster"],
-            operation=result["operation"],
-            fabric=result.get("fabric", ""),
-            procs=result["procs"],
-            nbytes=result["nbytes"],
-            algorithm=result["algorithm"],
-            segment_size=result["segment_size"],
+            cluster=op.cluster,
+            operation=op.operation,
+            fabric=op.fabric,
+            procs=procs,
+            nbytes=nbytes,
+            algorithm=table.algorithms[table.algorithm_ids[k]],
+            segment_size=table.segment_sizes[k],
         ):
             pass
 
-    def _answer(self, query, index: int | None = None) -> _CachedAnswer:
-        """The single-query (LRU-cached) path; callers must have run
-        :meth:`check_generation` this request."""
-        key = self._validate(query, index)
+    def _answer(self, query) -> bytes:
+        """The single-query path: the LRU memoises :attr:`_CompiledOp.render`
+        output per query; callers must have run :meth:`check_generation`
+        this request."""
+        key = self._validate(query)
         metrics = self.metrics
         metrics.queries.inc_key(_NO_LABELS)
         entry = self.cache.get(key)
@@ -424,71 +399,37 @@ class SelectionService:
             metrics.cache_misses.inc_key(_NO_LABELS)
             cluster, operation, fabric, procs, nbytes = key
             op = self._compiled_for(cluster, operation, fabric)
-            k, clamped = op.cell(procs, nbytes)
-            fragment = (
-                op.prefix + _CompiledOp.MID % (procs, nbytes)
-                + op.suffixes[k][clamped]
-            )
-            result = {
-                "cluster": cluster,
-                "operation": operation,
-                "procs": procs,
-                "nbytes": nbytes,
-            }
-            result.update(op.cell_results[k])
-            if clamped:
-                # Below-grid queries clamp to the first grid cell; say so
-                # instead of presenting the extrapolation as a grid answer.
-                result["clamped"] = True
-            entry = _CachedAnswer(
-                fragment, result, op.sel_keys[k],
-                op.clamp_key if clamped else None,
-            )
+            entry = (op, *op.render(procs, nbytes))
             self.cache.put(key, entry)
-        if entry.clamp_key is not None:
-            metrics.clamped.inc_key(entry.clamp_key)
-        metrics.selections.inc_key(entry.sel_key)
+        op, fragment, k, clamped = entry
+        if clamped:
+            metrics.clamped.inc_key(op.clamp_key)
+        metrics.selections.inc_key(op.sel_keys[k])
         sampler = self.sampler
         if sampler is not None and sampler.should_sample():
-            self._emit_sample(entry.result)
-        return entry
-
-    def select_one(self, query, index: int | None = None) -> dict:
-        """Validate and answer a single query (LRU-cached).
-
-        Returns a *fresh* dict every call: the cached answer stays
-        private to the cache, so no response-path annotation (trace ids,
-        client-side mutation) can ever corrupt cached state.
-        """
-        self.check_generation()
-        return dict(self._answer(query, index).result)
+            self._emit_sample(op, key[3], key[4], k)
+        return fragment
 
     def _batch_fragments(self, queries: list) -> list[bytes]:
-        """Answer a batch as pre-rendered JSON fragments, one pass.
+        """Answer a batch as rendered JSON fragments, one pass.
 
-        This is the vectorized path: no LRU probes, no result dicts —
-        per query it is validation, two bisects into the flat arrays and
-        one bytes concatenation.  The compiled table is re-resolved only
-        when the (cluster, fabric, operation) triple changes between
-        consecutive queries, which for real batches is almost never.
+        No LRU probes: per query it is validation and one
+        :attr:`_CompiledOp.render` call.  The compiled table is
+        re-resolved only when the (cluster, fabric, operation) triple
+        changes between consecutive queries, which for real batches is
+        almost never.
         """
         metrics = self.metrics
         selections_inc = metrics.selections.inc_key
         clamped_counter = metrics.clamped
         sampler = self.sampler
         validate = self._validate
-        bisect = bisect_right
-        mid = _CompiledOp.MID
         fragments: list[bytes] = []
         append = fragments.append
         last_triple = None
-        op = None
         # Rebound whenever the (cluster, fabric, operation) triple
-        # changes; hoisted out of the per-query work because real
-        # batches almost never switch tables mid-batch.
-        proc_points = size_points = suffixes = sel_keys = None
-        n_sizes = min_procs = min_size = 0
-        prefix = b""
+        # changes; hoisted out of the per-query work.
+        op = render = sel_keys = None
         clamp_key: tuple = ()
         for index, query in enumerate(queries):
             cluster, operation, fabric, procs, nbytes = validate(query, index)
@@ -496,39 +437,16 @@ class SelectionService:
             if triple != last_triple:
                 op = self._compiled_for(cluster, operation, fabric)
                 last_triple = triple
-                proc_points = op.proc_points
-                size_points = op.size_points
-                n_sizes = op.n_sizes
-                min_procs = op.min_procs
-                min_size = op.min_size
-                prefix = op.prefix
-                suffixes = op.suffixes
+                render = op.render
                 sel_keys = op.sel_keys
                 clamp_key = op.clamp_key
-            # _CompiledOp.cell, inlined: the call and result-tuple
-            # overhead is measurable at 10^5 queries/s.
-            i = bisect(proc_points, procs) - 1
-            if i < 0:
-                i = 0
-            j = bisect(size_points, nbytes) - 1
-            if j < 0:
-                j = 0
-            k = i * n_sizes + j
-            clamped = procs < min_procs or nbytes < min_size
-            append(prefix + mid % (procs, nbytes) + suffixes[k][clamped])
+            fragment, k, clamped = render(procs, nbytes)
+            append(fragment)
             selections_inc(sel_keys[k])
             if clamped:
                 clamped_counter.inc_key(clamp_key)
             if sampler is not None and sampler.should_sample():
-                self._emit_sample({
-                    "cluster": cluster,
-                    "operation": operation,
-                    "fabric": fabric,
-                    "procs": procs,
-                    "nbytes": nbytes,
-                    "algorithm": op.algorithms[op.algorithm_ids[k]],
-                    "segment_size": op.segment_sizes[k],
-                })
+                self._emit_sample(op, procs, nbytes, k)
         metrics.queries.inc(float(len(fragments)))
         metrics.batch_queries.inc(float(len(fragments)))
         return fragments
@@ -536,10 +454,10 @@ class SelectionService:
     def select_body(self, payload, trace_id: str) -> bytes:
         """Render the complete ``POST /select`` 200 response body.
 
-        The HTTP fast path: single queries splice the per-request trace
-        id onto the (possibly cached) fragment; batches assemble
-        ``{"results": [...]}`` with one ``bytes.join`` over the flat-path
-        fragments.  Raises :class:`RequestError` for client errors.
+        Single queries splice the per-request trace id onto the (possibly
+        cached) fragment; batches assemble ``{"results": [...]}`` with one
+        ``bytes.join`` over the batch fragments.  Raises
+        :class:`RequestError` for client errors.
         """
         self.check_generation()
         tail = b'"trace_id":"' + trace_id.encode("ascii") + b'"}'
@@ -560,33 +478,19 @@ class SelectionService:
             return (
                 b'{"results":[' + b"},".join(fragments) + b'}],' + tail
             )
-        return self._answer(payload).fragment + b"," + tail
+        return self._answer(payload) + b"," + tail
 
     def handle_select(self, payload) -> dict:
-        """The ``POST /select`` body: one query or ``{"queries": [...]}``.
+        """The ``POST /select`` body as a dict: one query or
+        ``{"queries": [...]}``.
 
-        The dict-level API (tests, embedding); every returned result is a
-        fresh copy, never a cache-owned object.
+        The dict-level API (tests, embedding): it decodes exactly the
+        bytes :meth:`select_body` renders, minus the ``trace_id``, so its
+        results are the wire answer and fresh objects on every call.
         """
-        self.check_generation()
-        if isinstance(payload, dict) and "queries" in payload:
-            queries = payload["queries"]
-            if not isinstance(queries, list):
-                raise RequestError(
-                    400, "validation", "'queries' must be a JSON array"
-                )
-            if len(queries) > MAX_BATCH:
-                raise RequestError(
-                    400, "batch_too_large",
-                    f"batch of {len(queries)} exceeds the limit of {MAX_BATCH}",
-                )
-            return {
-                "results": [
-                    dict(self._answer(query, index).result)
-                    for index, query in enumerate(queries)
-                ]
-            }
-        return dict(self._answer(payload).result)
+        answer = json.loads(self.select_body(payload, ""))
+        del answer["trace_id"]
+        return answer
 
 
 # -- HTTP front end ----------------------------------------------------------
@@ -809,9 +713,8 @@ class _HttpProtocol(asyncio.Protocol):
     def _respond(
         self, method: str, path: str, body: bytes, trace_id: str
     ) -> "tuple[int, bytes, str]":
-        """Dispatch one parsed request; shared by both timing paths."""
+        """Dispatch one parsed request to ``(status, body, content_type)``."""
         server = self.server
-        service = server.service
         content_type = "application/json"
         if path == "/select" and method == "POST":
             try:
@@ -823,7 +726,7 @@ class _HttpProtocol(asyncio.Protocol):
                         f"request body is not JSON: {error}",
                     ) from None
                 status = 200
-                response = service.select_body(payload, trace_id)
+                response = server.service.select_body(payload, trace_id)
             except RequestError as error:
                 status = error.status
                 response = json.dumps(
@@ -836,9 +739,7 @@ class _HttpProtocol(asyncio.Protocol):
                     "trace_id": trace_id,
                 }).encode("utf-8")
         else:
-            status, payload, content_type = server._dispatch(
-                method, path, body
-            )
+            status, payload, content_type = server._dispatch(method, path)
             if path == "/select" and isinstance(payload, dict):
                 payload = dict(payload, trace_id=trace_id)
             response = (
@@ -856,18 +757,30 @@ class _HttpProtocol(asyncio.Protocol):
         # A forced span only has observable effects when someone is
         # listening: the recorder retains it, a finish hook (e.g. a
         # span-to-metrics bridge) runs on it, or the query sampler nests
-        # ``select.query`` spans under it.  When none of those hold, the
-        # span is pure per-request overhead (~3µs), so time the request
-        # by hand with the same clock and trace-id source instead.
+        # ``select.query`` spans under it.  Then the span is the
+        # request's timer and trace-id source; otherwise it is pure
+        # per-request overhead (~3µs), so time the request by hand with
+        # the same clock and trace-id source instead.
         if recorder.enabled or recorder._hooks or service.sampler is not None:
-            return self._handle_traced(method, path, body, keep_alive)
-        start = time.perf_counter()
-        trace_id = obs.new_trace_id()
-        status, response, content_type = self._respond(
-            method, path, body, trace_id
-        )
-        duration = time.perf_counter() - start
+            with obs.span(
+                "http.request", force=True, method=method, endpoint=path
+            ) as span:
+                trace_id = span.trace_id
+                status, response, content_type = self._respond(
+                    method, path, body, trace_id
+                )
+                span.set_attr("status", status)
+            duration = span.duration
+        else:
+            start = time.perf_counter()
+            trace_id = obs.new_trace_id()
+            status, response, content_type = self._respond(
+                method, path, body, trace_id
+            )
+            duration = time.perf_counter() - start
         metrics = service.metrics
+        # Inlined observe_request_span: the label key is fetched from a
+        # bounded cache instead of being sorted per request.
         metrics.request_seconds.observe(duration)
         metrics.requests.inc_key(_request_key(path, status))
         if duration >= server.slow_request_seconds:
@@ -877,35 +790,6 @@ class _HttpProtocol(asyncio.Protocol):
             )
         head = _head_template(status, content_type, keep_alive, True)
         return head % (len(response), trace_id.encode("ascii")) + response
-
-    def _handle_traced(self, method: str, path: str, body: bytes,
-                       keep_alive: bool) -> bytes:
-        server = self.server
-        service = server.service
-        # The span is the request's timer and trace-id source — forced,
-        # so it exists even while tracing is off.  Its duration feeds the
-        # latency histogram through the span-to-metrics bridge; there is
-        # no second clock.
-        with obs.span(
-            "http.request", force=True, method=method, endpoint=path
-        ) as span:
-            status, response, content_type = self._respond(
-                method, path, body, span.trace_id
-            )
-            span.set_attr("status", status)
-        metrics = service.metrics
-        # Inlined observe_request_span: the span stays the single timing
-        # source, but the label key is fetched from a bounded cache
-        # instead of being sorted per request.
-        metrics.request_seconds.observe(span.duration)
-        metrics.requests.inc_key(_request_key(path, status))
-        if span.duration >= server.slow_request_seconds:
-            _logger.warning(
-                "slow request: %s %s -> %d in %.3fs (trace %s)",
-                method, path, status, span.duration, span.trace_id,
-            )
-        head = _head_template(status, content_type, keep_alive, True)
-        return head % (len(response), span.trace_id.encode("ascii")) + response
 
 
 class HttpServer:
@@ -989,8 +873,9 @@ class HttpServer:
         if self._server is not None:
             await self._server.wait_closed()
 
-    def _dispatch(self, method: str, path: str, body: bytes):
-        """Route one request; returns ``(status, payload, content_type)``."""
+    def _dispatch(self, method: str, path: str):
+        """Route every request but ``POST /select`` (answered by the
+        protocol's fast path); returns ``(status, payload, content_type)``."""
         try:
             if path == "/metrics" and method == "GET":
                 return 200, self.service.metrics.render(), "text/plain; version=0.0.4"
@@ -1018,16 +903,6 @@ class HttpServer:
                     },
                     "application/json",
                 )
-            if path == "/select" and method == "POST":
-                # Normally answered on the protocol fast path; kept for
-                # completeness (direct _dispatch callers, tests).
-                try:
-                    payload = json.loads(body.decode("utf-8") or "null")
-                except (json.JSONDecodeError, UnicodeDecodeError) as error:
-                    raise RequestError(
-                        400, "bad_json", f"request body is not JSON: {error}"
-                    ) from None
-                return 200, self.service.handle_select(payload), "application/json"
             if path == "/reload" and method == "POST":
                 # reload() never raises — a failed rescan flips the
                 # service into degraded mode and keeps serving.
@@ -1045,25 +920,6 @@ class HttpServer:
                 {"error": {"code": "internal", "message": str(error)}},
                 "application/json",
             )
-
-    @staticmethod
-    def _render(
-        status,
-        payload,
-        content_type: str,
-        keep_alive: bool,
-        trace_id: str | None = None,
-    ) -> bytes:
-        """Assemble one full response (kept for embedders and tests)."""
-        body = (
-            payload.encode("utf-8")
-            if isinstance(payload, str)
-            else json.dumps(payload).encode("utf-8")
-        )
-        head = _head_template(status, content_type, keep_alive, trace_id is not None)
-        if trace_id is not None:
-            return head % (len(body), trace_id.encode("ascii")) + body
-        return head % (len(body),) + body
 
 
 async def _serve_async(service: SelectionService, host: str, port: int) -> int:
@@ -1093,11 +949,10 @@ def serve(
     *,
     host: str = "127.0.0.1",
     port: int = 8080,
-    cache_size: int = 4096,
 ) -> int:
     """Blocking entry point used by ``repro serve`` (single process)."""
     registry = ArtifactRegistry(directory)
-    service = SelectionService(registry, cache_size=cache_size)
+    service = SelectionService(registry)
     return asyncio.run(_serve_async(service, host, port))
 
 

@@ -132,13 +132,12 @@ def _worker_main(
     directory: str,
     host: str,
     port: int,
-    cache_size: int,
     worker_index: int,
     conn,
 ) -> None:
     """Entry point of one worker process (spawn-safe, module-level)."""
     registry = ArtifactRegistry(directory)
-    service = SelectionService(registry, cache_size=cache_size)
+    service = SelectionService(registry)
     asyncio.run(_worker_async(service, host, port, worker_index, conn))
 
 
@@ -176,7 +175,6 @@ class ShardSupervisor:
         host: str = "127.0.0.1",
         port: int = 8080,
         workers: int = 2,
-        cache_size: int = 4096,
         start_timeout: float = 30.0,
     ):
         if workers < 1:
@@ -185,7 +183,6 @@ class ShardSupervisor:
         self.host = host
         self.port = port
         self.workers = workers
-        self.cache_size = cache_size
         self.start_timeout = start_timeout
         self.restarts = 0
         self._ctx = multiprocessing.get_context("spawn")
@@ -221,8 +218,7 @@ class ShardSupervisor:
         process = self._ctx.Process(
             target=_worker_main,
             args=(
-                self.directory, self.host, self.port,
-                self.cache_size, index, child_conn,
+                self.directory, self.host, self.port, index, child_conn,
             ),
             name=f"repro-shard-{index}",
             daemon=True,
@@ -469,7 +465,6 @@ def serve_sharded(
     port: int = 8080,
     workers: int = 2,
     admin_port: int | None = None,
-    cache_size: int = 4096,
 ) -> int:
     """Blocking entry point for ``repro serve --workers N``.
 
@@ -477,8 +472,7 @@ def serve_sharded(
     reloads every worker.  The admin endpoint defaults to ``port + 1``.
     """
     supervisor = ShardSupervisor(
-        directory, host=host, port=port, workers=workers,
-        cache_size=cache_size,
+        directory, host=host, port=port, workers=workers
     )
     supervisor.start()
     admin = _make_admin_server(

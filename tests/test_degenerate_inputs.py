@@ -69,7 +69,7 @@ def decision_fn(table):
 def server(artifact, tmp_path_factory):
     directory = tmp_path_factory.mktemp("degenerate-artifacts")
     artifact.save(directory / "minicluster.json")
-    service = SelectionService(ArtifactRegistry(directory), cache_size=64)
+    service = SelectionService(ArtifactRegistry(directory))
     with ServiceThread(service) as handle:
         yield handle
 
@@ -207,7 +207,7 @@ def suite_artifact():
 def suite_server(suite_artifact, tmp_path_factory):
     directory = tmp_path_factory.mktemp("whole-suite-artifacts")
     suite_artifact.save(directory / "minicluster.json")
-    service = SelectionService(ArtifactRegistry(directory), cache_size=64)
+    service = SelectionService(ArtifactRegistry(directory))
     with ServiceThread(service) as handle:
         yield handle
 

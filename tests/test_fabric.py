@@ -13,6 +13,7 @@ where the flat table does not — and the measured oracle agrees.
 
 from __future__ import annotations
 
+import ctypes
 import json
 from dataclasses import replace
 from http.client import HTTPConnection
@@ -35,6 +36,7 @@ from repro.fabric import (
     leaf_spine,
 )
 from repro.measure import time_bcast, time_reduce
+from repro.selection.codegen import algorithm_ids_for
 from repro.selection.oracle import MeasuredOracle
 from repro.service import ArtifactRegistry, SelectionService, ServiceThread
 from repro.service.artifact import build_artifact
@@ -390,7 +392,7 @@ class TestRegistryAndServerRouting:
     ):
         flat_artifact.save(tmp_path / "flat.json")
         fabric_artifact.save(tmp_path / "fabric.json")
-        service = SelectionService(ArtifactRegistry(tmp_path), cache_size=16)
+        service = SelectionService(ArtifactRegistry(tmp_path))
         with ServiceThread(service) as handle:
             flat_answer = self._post(handle.port, {})
             fabric_answer = self._post(
@@ -419,6 +421,31 @@ class TestRegistryAndServerRouting:
             return json.loads(response.read())
         finally:
             conn.close()
+
+
+class TestGeneratedCExecutes:
+    """The conditioned table's C decision function, hierarchical id
+    included, compiled and executed against the table."""
+
+    def test_generated_c_agrees_with_table(
+        self, fabric_artifact, compile_decision_c
+    ):
+        table = fabric_artifact.entries["bcast"].table
+        assert "hierarchical" in {
+            choice.algorithm for row in table.choices for choice in row
+        }
+        decide = compile_decision_c(table)
+        ids = algorithm_ids_for("bcast")
+        sizes = (0, 1, ACCEPTANCE_SIZES[0] - 1, 1 << 40)
+        sizes += ACCEPTANCE_SIZES + tuple(m + 1 for m in ACCEPTANCE_SIZES)
+        sizes += (ctypes.c_size_t(-1).value,)
+        for procs in (1, 9, 10, 11, 1 << 20):
+            for nbytes in sizes:
+                selection = table.select(procs, nbytes)
+                assert decide(procs, nbytes) == (
+                    ids[selection.algorithm],
+                    selection.segment_size,
+                ), (procs, nbytes)
 
 
 class TestCliFabricFlags:

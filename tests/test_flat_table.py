@@ -15,7 +15,7 @@ import pytest
 from repro.clusters import MINICLUSTER
 from repro.collectives.registry import algorithm_names, operations
 from repro.errors import SelectionError
-from repro.selection import DecisionTable, FlatDecisionTable
+from repro.selection import DecisionTable, FlatDecisionTable, floor_cell
 from repro.selection.oracle import Selection
 from repro.service import build_artifact
 from repro.units import KiB, MiB, log_spaced_sizes
@@ -102,14 +102,22 @@ class TestDifferential:
                     clamped,
                 ), (operation, round_index, procs, nbytes)
 
-    def test_lookup_many_matches_lookup(self):
+    def test_floor_cell_matches_linear_scan(self):
+        """The one floor rule against the definition it implements: the
+        last grid point at or below the query, clamped to the first."""
         rng = random.Random(99)
-        table = random_table("bcast", rng)
-        flat = FlatDecisionTable.from_table(table)
-        queries = fuzz_queries(table, rng, 500)
-        assert flat.lookup_many(queries) == [
-            flat.lookup(procs, nbytes) for procs, nbytes in queries
-        ]
+        for _ in range(20):
+            table = random_table("bcast", rng)
+            for procs, nbytes in fuzz_queries(table, rng, 100):
+                rows = [i for i, p in enumerate(table.proc_points) if p <= procs]
+                cols = [j for j, s in enumerate(table.size_points) if s <= nbytes]
+                assert floor_cell(
+                    table.proc_points, table.size_points, procs, nbytes
+                ) == (
+                    rows[-1] if rows else 0,
+                    cols[-1] if cols else 0,
+                    not rows or not cols,
+                ), (procs, nbytes)
 
 
 class TestCompilation:

@@ -4,23 +4,24 @@ Mirror of :mod:`tests.test_degenerate_inputs` for reduce, gather,
 barrier and the whole-suite collectives (allreduce, allgather, alltoall,
 scatter): the same ``(operation, P, m)`` query must get the same answer
 from the :class:`DecisionTable`, the compiled Python decision function,
-the generated C source (interpreted by a small evaluator), and ``POST
-/select`` on a live server — including at the degenerate corners.  Also
-locks the conventions the extensions introduced: the data-moving models
-are no-ops at ``m = 0`` while the barrier is not, and the barrier's
-decision table is size-independent (a single ``m = 0`` column).
+the generated C source (compiled with gcc and executed through
+:mod:`ctypes`, broadcast included), and ``POST /select`` on a live
+server — including at the degenerate corners.  Also locks the
+conventions the extensions introduced: the data-moving models are no-ops
+at ``m = 0`` while the barrier is not, and the barrier's decision table
+is size-independent (a single ``m = 0`` column).
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
-import re
 from http.client import HTTPConnection
 
 import pytest
 
 from repro.clusters import MINICLUSTER
-from repro.selection.codegen import algorithm_ids_for, generate_c
+from repro.selection.codegen import algorithm_ids_for
 from repro.service import (
     ArtifactRegistry,
     SelectionService,
@@ -48,12 +49,18 @@ POINTS = (
     (500, 1 << 30),
 )
 
+#: The generated C also covers broadcast (the artifact's eighth table)
+#: and the top of its ``size_t`` message-size domain.
+C_OPERATIONS = ("bcast",) + OPERATIONS
+SIZE_T_MAX = ctypes.c_size_t(-1).value
+C_POINTS = POINTS + ((1, SIZE_T_MAX), (8, SIZE_T_MAX), (500, SIZE_T_MAX))
+
 
 @pytest.fixture(scope="module")
 def artifact():
     return build_artifact(
         MINICLUSTER,
-        collectives=OPERATIONS,
+        collectives=C_OPERATIONS,
         proc_points=GRID_PROCS,
         size_points=GRID_SIZES,
         procs=6,
@@ -73,10 +80,18 @@ def decision_fns(artifact):
 
 
 @pytest.fixture(scope="module")
+def c_decision_fns(artifact, compile_decision_c):
+    return {
+        operation: compile_decision_c(artifact.entries[operation].table)
+        for operation in C_OPERATIONS
+    }
+
+
+@pytest.fixture(scope="module")
 def server(artifact, tmp_path_factory):
     directory = tmp_path_factory.mktemp("multi-collective-artifacts")
     artifact.save(directory / "minicluster.json")
-    service = SelectionService(ArtifactRegistry(directory), cache_size=64)
+    service = SelectionService(ArtifactRegistry(directory))
     with ServiceThread(service) as handle:
         yield handle
 
@@ -102,40 +117,6 @@ def post_select(port, operation, procs, nbytes):
         conn.close()
 
 
-#: Line shapes of the generated C decision function.
-_C_OUTER = re.compile(r"^    (?:if \(communicator_size >= (\d+)\) )?\{$")
-_C_INNER = re.compile(r"^        (?:if \(message_size >= (\d+)UL\) )?\{$")
-_C_ALGO = re.compile(r"^\s+\*algorithm = (\d+);")
-_C_SEG = re.compile(r"^\s+\*segsize = (\d+)UL;")
-
-
-def evaluate_c(source: str, procs: int, nbytes: int) -> tuple[int, int]:
-    """Interpret the generated C source for one query.
-
-    Walks the emitted branch structure exactly as a C compiler would
-    execute it: the first outer communicator-size guard that passes, then
-    the first inner message-size guard inside it, yields the returned
-    ``(*algorithm, *segsize)`` pair.
-    """
-    lines = source.splitlines()
-    index = 0
-    outer_taken = False
-    while index < len(lines):
-        outer = _C_OUTER.match(lines[index])
-        if outer:
-            outer_taken = outer.group(1) is None or procs >= int(outer.group(1))
-            index += 1
-            continue
-        inner = _C_INNER.match(lines[index])
-        if inner and outer_taken:
-            if inner.group(1) is None or nbytes >= int(inner.group(1)):
-                algorithm = int(_C_ALGO.match(lines[index + 1]).group(1))
-                segment = int(_C_SEG.match(lines[index + 2]).group(1))
-                return algorithm, segment
-        index += 1
-    raise AssertionError("generated C takes no branch — grids must be total")
-
-
 class TestFourLayerAgreement:
     @pytest.mark.parametrize("operation", OPERATIONS)
     @pytest.mark.parametrize("procs,nbytes", POINTS)
@@ -149,15 +130,15 @@ class TestFourLayerAgreement:
         offline = artifact.select(operation, procs, nbytes)
         assert (offline.algorithm, offline.segment_size) == expected
 
-    @pytest.mark.parametrize("operation", OPERATIONS)
-    @pytest.mark.parametrize("procs,nbytes", POINTS)
+    @pytest.mark.parametrize("operation", C_OPERATIONS)
+    @pytest.mark.parametrize("procs,nbytes", C_POINTS)
     def test_generated_c_agrees_with_table(
-        self, artifact, operation, procs, nbytes
+        self, artifact, c_decision_fns, operation, procs, nbytes
     ):
         table = artifact.entries[operation].table
         selection = table.select(procs, nbytes)
         ids = algorithm_ids_for(operation)
-        assert evaluate_c(generate_c(table), procs, nbytes) == (
+        assert c_decision_fns[operation](procs, nbytes) == (
             ids[selection.algorithm],
             selection.segment_size,
         )

@@ -90,6 +90,7 @@ class TestCBackend:
     def test_structure_matches_ompi_conventions(self):
         source = generate_c(make_table())
         assert source.startswith("/* Generated by repro.selection.codegen")
+        assert "#include <stddef.h>" in source  # size_t, standalone
         assert "int coll_bcast_dec_generated(" in source
         assert "*algorithm =" in source and "*segsize =" in source
         assert "return 0;" in source
@@ -121,7 +122,8 @@ class TestCBackend:
 
 class TestGeneratedCCompiles:
     def test_gcc_syntax_check(self, tmp_path):
-        """If a C compiler is present, the generated code must compile."""
+        """If a C compiler is present, the generated code must compile
+        standalone: no forced includes, no warnings."""
         import shutil
         import subprocess
 
@@ -131,7 +133,8 @@ class TestGeneratedCCompiles:
         source = tmp_path / "decision.c"
         source.write_text(generate_c(make_table()))
         result = subprocess.run(
-            [gcc, "-fsyntax-only", "-include", "stddef.h", str(source)],
+            [gcc, "-std=c99", "-Wall", "-Werror", "-fsyntax-only",
+             str(source)],
             capture_output=True,
             text=True,
         )

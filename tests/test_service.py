@@ -213,7 +213,7 @@ class Client:
 
 @pytest.fixture(scope="module")
 def server(artifact_dir):
-    service = SelectionService(ArtifactRegistry(artifact_dir), cache_size=64)
+    service = SelectionService(ArtifactRegistry(artifact_dir))
     with ServiceThread(service) as handle:
         yield handle
 
@@ -413,7 +413,7 @@ def fragile_setup(artifact, tmp_path):
     """A service over its own directory, safe to corrupt per-test."""
     path = tmp_path / "minicluster.json"
     artifact.save(path)
-    service = SelectionService(ArtifactRegistry(tmp_path), cache_size=64)
+    service = SelectionService(ArtifactRegistry(tmp_path))
     return service, path
 
 
@@ -647,7 +647,7 @@ class TestCacheAliasing:
     def service(self, artifact):
         registry = ArtifactRegistry()
         registry.add(artifact)
-        return SelectionService(registry, cache_size=64)
+        return SelectionService(registry)
 
     def test_single_result_mutation_does_not_poison_cache(self, service):
         query = dict(QUERY, operation="bcast")
@@ -688,7 +688,7 @@ class TestRegistrySwapInvalidation:
         old = tmp_path / "a.json"
         artifact.save(old)
         registry = ArtifactRegistry(tmp_path)
-        service = SelectionService(registry, cache_size=64)
+        service = SelectionService(registry)
         query = dict(QUERY, operation="bcast")
         warm = service.handle_select(dict(query))
         assert warm["artifact"] == artifact.artifact_id

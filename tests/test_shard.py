@@ -152,9 +152,7 @@ class TestMergeMetricsTexts:
 class TestShardSupervisor:
     @pytest.fixture(scope="class")
     def fleet(self, artifact_dir):
-        supervisor = ShardSupervisor(
-            artifact_dir, port=0, workers=2, cache_size=64
-        )
+        supervisor = ShardSupervisor(artifact_dir, port=0, workers=2)
         supervisor.start()
         yield supervisor
         supervisor.stop()

@@ -538,7 +538,7 @@ def live_service(clean_artifact, tmp_path):
     directory = tmp_path / "artifacts"
     directory.mkdir()
     bcast_only.save(directory / "minicluster.json")
-    service = SelectionService(ArtifactRegistry(directory), cache_size=64)
+    service = SelectionService(ArtifactRegistry(directory))
     with ServiceThread(service) as handle:
         yield service, handle, bcast_only
 
