@@ -308,6 +308,16 @@ def _cmd_artifact_build(args) -> int:
     artifact.verify()
     artifact.save(args.output)
     print(f"artifact {artifact.artifact_id} written to {args.output}")
+    ledger = artifact.build_info.get("simulation", {})
+    if ledger.get("columnar_cells") or ledger.get("event_loop_cells"):
+        reasons = ", ".join(
+            f"{reason}: {count}" for reason, count in ledger["fallbacks"].items()
+        )
+        print(
+            f"  simulation: {ledger['columnar_cells']} columnar, "
+            f"{ledger['event_loop_cells']} event-loop cells"
+            + (f" (fallbacks: {reasons})" if reasons else "")
+        )
     for operation, info in artifact.summary()["operations"].items():
         print(
             f"  {operation}: {info['proc_points']}x{info['size_points']} grid, "

@@ -31,9 +31,10 @@ from __future__ import annotations
 import atexit
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import obs
@@ -68,6 +69,12 @@ class ExecStats:
     #: were answered by another cell's result (noise-free seed dedupe).
     batched_cells: int = 0
     deduped_cells: int = 0
+    #: Distinct cells the in-process batched engine resolved through its
+    #: columnar kernels / through the event loop, and the fallback reasons
+    #: (slabs run in pool workers are not counted here).
+    columnar_cells: int = 0
+    event_loop_cells: int = 0
+    fallbacks: Counter = field(default_factory=Counter)
 
     def as_dict(self) -> dict:
         return {
@@ -79,6 +86,9 @@ class ExecStats:
             "fallback_batches": self.fallback_batches,
             "batched_cells": self.batched_cells,
             "deduped_cells": self.deduped_cells,
+            "columnar_cells": self.columnar_cells,
+            "event_loop_cells": self.event_loop_cells,
+            "fallbacks": dict(sorted(self.fallbacks.items())),
         }
 
 
@@ -270,12 +280,10 @@ class ParallelRunner:
         ship whole slabs to pool workers, with the same crash-retry and
         in-process fallback discipline as the per-job path.
         """
-        from repro.sim.batch import BatchSimulator
-
         if self.jobs == 1 or len(cells) <= 2:
             with obs.span("exec.execute", dispatch="batch-inline",
                           cells=len(cells)):
-                return BatchSimulator().run(cells)
+                return self._run_inline(cells)
         slab_size = -(-len(cells) // (self.jobs * 2))
         slabs = [
             BatchJob(cells=tuple(cells[start:start + slab_size]))
@@ -302,7 +310,19 @@ class ParallelRunner:
         self.stats.fallback_batches += 1
         with obs.span("exec.execute", dispatch="batch-fallback",
                       cells=len(cells)):
-            return BatchSimulator().run(cells)
+            return self._run_inline(cells)
+
+    def _run_inline(self, cells: list[SimJob]) -> list[float]:
+        """One in-process batched pass, folded into :attr:`stats`."""
+        from repro.sim.batch import BatchSimulator
+
+        simulator = BatchSimulator()
+        results = simulator.run(cells)
+        batch = simulator.stats
+        self.stats.columnar_cells += batch.columnar
+        self.stats.event_loop_cells += batch.event_loop
+        self.stats.fallbacks.update(batch.fallbacks)
+        return results
 
     def _run_batched(self, batch: list[SimJob]) -> None:
         """Warm memo and cache with ``batch`` via the batched engine.

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -125,10 +126,12 @@ class SelectionArtifact:
     #: decisions, so adding them never changes a content hash — artifacts
     #: built before this field existed keep their hashes bit-for-bit.
     quality: dict = field(default_factory=dict, compare=False)
-    #: How the artifact was built (e.g. ``{"batch": True}``).  Like
-    #: ``quality``, deliberately outside the hashed payload: the batched
-    #: engine is bit-identical to the serial one, so the execution mode
-    #: describes the build process, never the decisions.
+    #: How the artifact was built: the batch flag and the simulation
+    #: ledger (cells the batched engine ran columnar / on the event loop,
+    #: and why each fallback happened).  Like ``quality``, deliberately
+    #: outside the hashed payload: the batched engine is bit-identical to
+    #: the serial one, so the execution mode describes the build process,
+    #: never the decisions.
     build_info: dict = field(default_factory=dict, compare=False)
     #: Performance-guideline verification report (see
     #: :func:`repro.tuning.guidelines.verify_guidelines`), stamped by the
@@ -501,6 +504,9 @@ def build_artifact(
     runner = runner if runner is not None else default_runner()
     if batch is not None:
         runner.batch = bool(batch)
+    stats = runner.stats
+    cells_before = (stats.columnar_cells, stats.event_loop_cells)
+    fallbacks_before = Counter(stats.fallbacks)
     grid_procs = (
         tuple(proc_points) if proc_points else default_proc_points(spec)
     )
@@ -576,7 +582,21 @@ def build_artifact(
                 entries=entries,
                 fabric=fabric_name,
                 quality=quality,
-                build_info={"batch": runner.batch},
+                build_info={
+                    "batch": runner.batch,
+                    # What this build added to the runner's ledger.
+                    "simulation": {
+                        "columnar_cells": (
+                            stats.columnar_cells - cells_before[0]
+                        ),
+                        "event_loop_cells": (
+                            stats.event_loop_cells - cells_before[1]
+                        ),
+                        "fallbacks": dict(sorted(
+                            (stats.fallbacks - fallbacks_before).items()
+                        )),
+                    },
+                },
             )
             build_span.set_attr("artifact_id", artifact.artifact_id)
         with obs.span("artifact.guidelines"):

@@ -14,57 +14,75 @@ one call and removes that overhead where it provably can:
   structural 2x.
 
 * **Columnar kernels.**  For the collectives that dominate calibration
-  (the generic-tree and linear broadcasts, the tree/linear reductions, the
-  linear gather/scatter phases), the event loop is replaced by direct
-  arithmetic on per-rank clocks and per-NIC ``free_at`` arrays — the exact
-  recurrences the discrete-event engine executes, evaluated in dependency
-  order without futures, heaps or coroutines.  Topology construction and
-  placement are hoisted out of the per-cell loop and shared across message
-  sizes (:class:`_Grid`).
+  (the generic-tree, hierarchical and linear broadcasts, the tree,
+  hierarchical and linear reductions, the linear gather/scatter phases),
+  the event loop is replaced by per-rank kernels doing direct arithmetic
+  on rank clocks, per-NIC ``free_at`` clocks and — on multi-level fabrics
+  — the rack/pod uplink clocks of :mod:`repro.fabric`: one heap entry per
+  message instead of futures, matching queues and several engine events.
+  Topology construction and placement are hoisted out of the per-cell
+  loop and shared across message sizes (:class:`_Grid`).
 
 * **Event-loop fallback.**  Anything the kernels cannot reproduce
   *bit-for-bit* — noise or fault models, degraded nodes, shared NIC ports,
   unsupported algorithms (split-binary, scatter-allgather, barriers), or a
-  detected unsafe event-time tie — falls back to
-  :func:`repro.exec.job.execute_job` for that cell.  The batch layer is
-  therefore always exact: the fast path is taken only where equality with
-  the event loop is guaranteed, and parity tests (``tests/test_sim_batch.py``)
-  assert bit-identical results over the full calibration grid.
+  detected unsafe tie — falls back to :func:`repro.exec.job.execute_job`
+  for that cell, and :attr:`BatchStats.fallbacks` records why.  The batch
+  layer is therefore always exact: the fast path is taken only where
+  equality with the event loop is guaranteed, and parity tests
+  (``tests/test_sim_batch.py``) assert bit-identical results over the full
+  calibration grid, flat and on every fabric shape.
 
 Exactness argument (why plain arithmetic can match an event loop):
 
 1. Within one rank, simulated time only advances through ``timeout`` /
    future completions whose timestamps are pure float expressions of
    earlier timestamps — mirrored here verbatim (same operation order).
-2. The only *shared* mutable state is the per-NIC ``free_at`` clock, and a
-   NIC's reservations happen in the global order of ``transfer()`` calls.
-   With one exclusive (node, port) per rank, each egress NIC is reserved in
-   its owner's program order, and each ingress NIC's reservation order is
-   derivable: a single statically-known sender stream (tree phases), or a
-   sorted merge of sender call times (fan-in phases).
-3. Where two transfer calls carry the same timestamp the event loop's
-   ordering is an implementation detail of its heap; the kernels either
-   prove the outcome permutation-invariant (equal arrive/drain feeding one
-   ``waitall``) or refuse and fall back.
+2. The only *shared* mutable state is the ``free_at`` clock of each NIC
+   and fabric link, and the event loop reserves all of a transfer's
+   resources at its ``transfer()`` call, in the global order of calls.
+   With one exclusive (node, port) per rank, each egress NIC is reserved
+   in its owner's program order, so the kernels reserve it when the rank
+   issues the send.  Everything downstream — uplink, pod tier, downlink,
+   ingress — is reserved from a per-cell heap of pending calls in
+   ascending call time, which *is* the global call order.  A rank resumes
+   when its awaited deliveries are known; it can only issue calls later
+   than the call that woke it, so nothing is ever reserved out of order.
+3. Where two calls carry the same timestamp the event loop's ordering is
+   an implementation detail of its heap; the kernels admit the tie only
+   when it is provably permutation-invariant — tied calls contending for a
+   shared ingress NIC or link must be indistinguishable (same destination
+   and ``waitall``, size, injection end and source rack), and tied
+   rendezvous calls of one fan-out, which share the sender's egress, must
+   reach interchangeable targets inside one ``waitall`` — or refuse and
+   fall back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 from repro import obs
 from repro.clusters.spec import ClusterSpec
 from repro.collectives.reduce import DEFAULT_OP_BYTE_TIME
 from repro.mpi.segmentation import plan_segments
+from repro.sim.network import _TopologyState
 from repro.topology import (
-    Tree,
     build_binary_tree,
     build_binomial_tree,
     build_chain_tree,
+    build_hierarchy_tree,
     build_in_order_binomial_tree,
 )
 
 __all__ = ["BatchSimulator", "BatchStats", "dedupe_key", "noise_free"]
+
+#: Mailbox tags of the trailing linear phases (segment ``i`` of a tree
+#: phase uses tag ``i``).
+_GATHER_TAG = -1
+_SCATTER_TAG = -2
 
 
 class _Unsupported(Exception):
@@ -116,6 +134,8 @@ class BatchStats:
     deduped: int = 0
     #: Reuses of a (spec, procs, mapping) placement across cells.
     shared_setup_hits: int = 0
+    #: Event-loop fallbacks by reason (the kernels' refusal message).
+    fallbacks: Counter = field(default_factory=Counter)
 
     def as_dict(self) -> dict:
         return {
@@ -125,6 +145,7 @@ class BatchStats:
             "event_loop": self.event_loop,
             "deduped": self.deduped,
             "shared_setup_hits": self.shared_setup_hits,
+            "fallbacks": dict(sorted(self.fallbacks.items())),
         }
 
 
@@ -133,12 +154,14 @@ class _Grid:
 
     Holds the rank placement and the fabric constants; verified eligible for
     the columnar kernels at construction (raises :class:`_Unsupported`
-    otherwise).  NIC clocks are *not* here — they are per-cell run state.
+    otherwise).  NIC and link clocks are *not* here — they are per-cell run
+    state.
     """
 
     __slots__ = (
         "procs", "node", "latency", "bto", "bti", "pmo", "so", "ro",
-        "eager", "cl", "slat", "sbt",
+        "eager", "cl", "slat", "sbt", "fabric", "num_nodes", "group_of",
+        "trees",
     )
 
     def __init__(self, spec: ClusterSpec, procs: int, mapping: str):
@@ -146,10 +169,6 @@ class _Grid:
             raise _Unsupported("noisy or faulty spec")
         if spec.slow_nodes:
             raise _Unsupported("degraded nodes")
-        if spec.fabric is not None and not spec.fabric.is_flat():
-            # Uplink reservations interleave across cells in ways only the
-            # event loop models; non-flat fabrics take the exact fallback.
-            raise _Unsupported("multi-level fabric")
         net = spec.network
         if net.send_overhead <= 0.0:
             # Zero send overhead collapses distinct isend call times onto
@@ -179,508 +198,557 @@ class _Grid:
         self.cl = net.control_latency
         self.slat = net.shm_latency
         self.sbt = net.shm_byte_time
+        # The fabric the world is built on: ``None`` when flat, exactly as
+        # ``ClusterSpec.make_world`` decides.
+        fabric = spec.fabric
+        self.fabric = None if fabric is None or fabric.is_flat() else fabric
+        self.num_nodes = max(placement) + 1
+        # ``comm_group_of``: hierarchical trees group ranks by rack on a
+        # multi-level fabric, by node otherwise.
+        self.group_of = tuple(
+            self.fabric.rack_of(node) if self.fabric is not None else node
+            for node in placement
+        )
+        #: Trees built on this placement, keyed by (builder, root).
+        self.trees: dict = {}
+
+    def tree(self, builder, root: int):
+        tree = self.trees.get((builder, root))
+        if tree is None:
+            tree = self.trees[(builder, root)] = builder(self, root)
+        return tree
 
 
 class _Cell:
-    """Mutable per-cell run state: rank clocks plus per-rank NIC clocks.
+    """Mutable per-cell run state: rank programs, NIC and link clocks.
 
-    ``eg``/``ig`` are each rank's exclusive egress/ingress ``free_at``
-    clocks (exclusivity checked by :class:`_Grid`); ``eg_call``/``ig_call``
-    record the last transfer-call time seen per NIC, guarding that every
-    reservation happens in global call order — a violated guard means the
-    kernel mis-derived the order and must fall back, not guess.
+    Each rank runs a *program*: phase generators mirroring its collective
+    code, which yield ``(tag, count)`` to wait for ``count`` deliveries
+    tagged ``tag`` and are resumed with the latest of their deliver times.
+    A send reserves the sender's exclusive egress NIC at once (``eg``,
+    guarded to advance in call order by ``eg_call``) and queues the rest
+    of the transfer on ``heap``; :meth:`run` drains the heap in call-time
+    order, reserving fabric links (``topo``, the event loop's own
+    :class:`~repro.sim.network._TopologyState`) and ingress NICs (``ig``)
+    and waking the receivers.
     """
 
-    __slots__ = ("g", "eg", "ig", "eg_call", "ig_call")
+    __slots__ = (
+        "g", "topo", "eg", "ig", "eg_call", "heap", "mail", "waiting",
+        "post", "programs", "trailer", "trailing", "finish",
+    )
 
     def __init__(self, grid: _Grid):
         self.g = grid
         procs = grid.procs
+        self.topo = (
+            None if grid.fabric is None
+            else _TopologyState(grid.fabric, grid.num_nodes)
+        )
         self.eg = [0.0] * procs
         self.ig = [0.0] * procs
         self.eg_call = [0.0] * procs
-        self.ig_call = [0.0] * procs
+        #: Pending transfers ``(call_t, dst, tag, src, nbytes, inject_end)``.
+        self.heap: list = []
+        #: Per-rank ``{tag: [deliveries, latest deliver]}`` of messages that
+        #: arrived before their wait (or in a group still incomplete).
+        self.mail: list[dict] = [{} for _ in range(procs)]
+        #: Per-rank ``(tag, count)`` the program is blocked on, or None.
+        self.waiting: list = [None] * procs
+        #: Receive-post times published by the trailing linear phases.
+        self.post: list = [None] * procs
+        self.programs: list = []
+        self.trailer = None
+        #: Whether each rank's program has entered the trailer.
+        self.trailing = [False] * procs
+        self.finish = [0.0] * procs
 
     # -- primitive transfers ------------------------------------------------
-
-    def send_eager(self, src: int, dst: int, nbytes: int, t: float):
-        """Eager transfer called at ``t``; returns ``(inject_end, deliver)``.
-
-        Reserves both NICs immediately — valid only where ``t`` respects
-        each NIC's global call order (guarded).
-        """
-        g = self.g
-        if g.node[src] == g.node[dst]:
-            inject_end = t + nbytes * g.sbt
-            return inject_end, inject_end + g.slat
-        inject_end = self._reserve_egress(src, t, nbytes)
-        return inject_end, self._reserve_ingress(dst, t, inject_end + g.latency,
-                                                 nbytes * g.bti)
-
-    def _reserve_egress(self, src: int, t: float, nbytes: int) -> float:
-        if t < self.eg_call[src]:
-            raise _Unsupported("egress call order violated")
-        self.eg_call[src] = t
-        cost = self.g.pmo + nbytes * self.g.bto
-        free = self.eg[src]
-        start = t if t > free else free
-        end = start + cost
-        self.eg[src] = end
-        return end
-
-    def _reserve_ingress(
-        self, dst: int, t: float, arrive: float, drain: float
-    ) -> float:
-        if t < self.ig_call[dst]:
-            raise _Unsupported("ingress call order violated")
-        self.ig_call[dst] = t
-        free = self.ig[dst]
-        start = arrive if arrive > free else free
-        deliver = start + drain
-        self.ig[dst] = deliver
-        return deliver
 
     def control(self, src: int, dst: int, t: float) -> float:
         """Delivery time of an RTS/CTS control message sent at ``t``."""
         g = self.g
-        return t + (g.slat if g.node[src] == g.node[dst] else g.cl)
+        src_node, dst_node = g.node[src], g.node[dst]
+        if src_node == dst_node:
+            return t + g.slat
+        t = t + g.cl
+        if self.topo is not None:
+            t += self.topo.control_extra(src_node, dst_node)
+        return t
 
-    # -- fan-out: one sender, many receivers --------------------------------
+    def send(
+        self, src: int, dst: int, nbytes: int, call_t: float, tag: int
+    ) -> float:
+        """Start a transfer called at ``call_t``; returns its inject end.
+
+        The egress reservation happens now (the rank's own NIC, in its
+        program order); delivery into ``dst``'s ``tag`` mailbox is queued
+        for :meth:`run`, which completes transfers in call order.  Every
+        call is later than the call being completed when it is issued: a
+        rank only runs after a delivery, and charges ``send_overhead``
+        (checked positive by :class:`_Grid`) before its next call.
+        """
+        g = self.g
+        if g.node[src] == g.node[dst]:
+            inject_end = call_t + nbytes * g.sbt
+        else:
+            if call_t < self.eg_call[src]:
+                raise _Unsupported("egress call order violated")
+            self.eg_call[src] = call_t
+            cost = g.pmo + nbytes * g.bto
+            free = self.eg[src]
+            inject_end = (call_t if call_t > free else free) + cost
+            self.eg[src] = inject_end
+        heappush(self.heap, (call_t, dst, tag, src, nbytes, inject_end))
+        return inject_end
 
     def fan_out(
         self,
         src: int,
-        targets: list[int],
+        targets,
         nbytes: int,
         clock: float,
+        tag: int,
         post_of,
         ties_ok: bool,
-    ):
-        """``isend`` of ``nbytes`` to each target, in order, from ``clock``.
+    ) -> float:
+        """``isend`` of ``nbytes`` to each target in order, then ``waitall``.
 
         Mirrors the root loop of the linear broadcast / scatter / generic
         tree segment: each ``isend`` charges ``send_overhead`` to the
         sender, then starts an eager or rendezvous transfer.  ``post_of``
         maps a target to its (statically known) receive-post time — needed
-        for the rendezvous match.  Returns ``(clock_after_isends,
-        {target: (inject_end, deliver)})``.
+        for the rendezvous match.  Returns the sender's clock after the
+        ``waitall``.
 
         ``ties_ok`` admits equal rendezvous payload-call times contending
         for the sender's egress: safe only when the tied targets' downstream
         behaviour is a pure function of their deliver time within one
-        enclosing ``waitall`` (linear broadcast, scatter) — the inject-end
-        and deliver *multisets* are permutation-invariant, so root-timed and
-        max-over-ranks results are unchanged.  Tree fan-outs pass ``False``
-        (children have distinct subtrees) and rely on strictly increasing
-        call times instead.
+        enclosing ``waitall`` (linear broadcast, scatter) and their
+        transfers end alike whichever goes first (:meth:`_interchangeable`)
+        — the inject-end and deliver *multisets* are then
+        permutation-invariant, so root-timed and max-over-ranks results are
+        unchanged.  Tree fan-outs pass ``False`` (children have distinct
+        subtrees) and rely on strictly increasing call times instead.
         """
         g = self.g
-        eager = nbytes <= g.eager
+        send = self.send
+        last = clock
+        if nbytes <= g.eager:
+            # Eager transfer calls happen at the isend times, strictly
+            # increasing: reserve in program order.
+            for dst in targets:
+                clock = clock + g.so
+                end = send(src, dst, nbytes, clock, tag)
+                if end > last:
+                    last = end
+            return last if last > clock else clock
         pending: list[tuple[float, int]] = []
-        out: dict[int, tuple[float, float]] = {}
         for dst in targets:
             clock = clock + g.so
-            if eager:
-                # Eager transfer calls happen at the isend times, strictly
-                # increasing: reserve in program order.
-                out[dst] = self.send_eager(src, dst, nbytes, clock)
-                continue
             # Rendezvous: RTS out now; payload moves at CTS arrival.
             rts = self.control(src, dst, clock)
             post = post_of(dst)
             match = rts if rts > post else post
             cts = self.control(dst, src, match)
             if g.node[src] == g.node[dst]:
-                inject_end = cts + nbytes * g.sbt
-                out[dst] = (inject_end, inject_end + g.slat)
+                end = send(src, dst, nbytes, cts, tag)
+                if end > last:
+                    last = end
             else:
                 pending.append((cts, dst))
-        if pending:
-            pending.sort(key=lambda e: e[0])
-            if not ties_ok:
-                for (a, _), (b, _) in zip(pending, pending[1:]):
-                    if a == b:
-                        raise _Unsupported("tied rendezvous fan-out")
-            for cts, dst in pending:
-                inject_end = self._reserve_egress(src, cts, nbytes)
-                deliver = self._reserve_ingress(
-                    dst, cts, inject_end + g.latency, nbytes * g.bti
-                )
-                out[dst] = (inject_end, deliver)
-        return clock, out
+        pending.sort(key=lambda e: e[0])
+        for (a, x), (b, y) in zip(pending, pending[1:]):
+            if a == b and not (ties_ok and self._interchangeable(x, y)):
+                raise _Unsupported("tied rendezvous fan-out")
+        for cts, dst in pending:
+            end = send(src, dst, nbytes, cts, tag)
+            if end > last:
+                last = end
+        return last if last > clock else clock
 
-    # -- fan-in: many senders, one receiver ---------------------------------
+    def _interchangeable(self, x: int, y: int) -> bool:
+        """Whether transfers to ``x`` and ``y`` end alike in either order.
 
-    def fan_in(self, dst: int, events: list) -> dict:
-        """Serialise inter-node arrivals on ``dst``'s ingress NIC.
-
-        ``events`` are ``(call_t, arrive, drain, group, key)`` tuples whose
-        egress half is already reserved (``arrive`` is final).  Reservation
-        order is ascending transfer-call time; a tie is permutation-safe —
-        and therefore allowed — only when the tied messages are
-        indistinguishable to the receiver: identical ``(arrive, drain)``
-        and the same ``group`` (one ``waitall``), making the deliver
-        multiset and its max invariant.  Returns ``{key: deliver}``.
+        True when both destinations' ingress clocks agree and both sit in
+        one rack (one path through the fabric); only the sender, which
+        reaches them in this fan-out alone, touches them in between.
         """
-        events = sorted(events, key=lambda e: e[0])
-        index = 0
-        while index + 1 < len(events):
-            a, b = events[index], events[index + 1]
-            if a[0] == b[0] and (a[1] != b[1] or a[2] != b[2] or a[3] != b[3]):
-                raise _Unsupported("unsafe ingress tie")
-            index += 1
-        out = {}
-        for call_t, arrive, drain, _group, key in events:
-            out[key] = self._reserve_ingress(dst, call_t, arrive, drain)
-        return out
+        if self.ig[x] != self.ig[y]:
+            return False
+        if self.topo is None:
+            return True
+        rack, node = self.topo.rack_of, self.g.node
+        return rack[node[x]] == rack[node[y]]
+
+    # -- the driver ---------------------------------------------------------
+
+    def _resume(self, rank: int, value) -> None:
+        """Run ``rank``'s program until it blocks on undelivered messages."""
+        program = self.programs[rank]
+        mail = self.mail[rank]
+        while True:
+            try:
+                want = program.send(value)
+            except StopIteration as stop:
+                trailer = self.trailer
+                if trailer is None or self.trailing[rank]:
+                    self.finish[rank] = stop.value
+                    return
+                # The leading collective is done: enter the trailing phase.
+                self.trailing[rank] = True
+                phase, root, nbytes = trailer
+                program = self.programs[rank] = phase(
+                    self, rank, root, nbytes, stop.value
+                )
+                value = None
+                continue
+            got = mail.get(want[0])
+            if got is None or got[0] != want[1]:
+                self.waiting[rank] = want
+                return
+            value = got[1]
+
+    def _check_tie(self, tied: list, entry: tuple) -> None:
+        """Refuse a tied call unless every order yields the same result.
+
+        Two calls at one timestamp that contend for a NIC or link are
+        admitted only when indistinguishable: same destination and tag
+        (one ``waitall``), size, inject end and source rack — then swapping
+        them relabels identical outcomes and the awaited max is unchanged.
+        """
+        node = self.g.node
+        topo = self.topo
+        _t, dst, tag, src, nbytes, inject_end = entry
+        for other in tied:
+            if topo is None:
+                if other[1] != dst:
+                    continue
+                same_path = True
+            else:
+                rack = topo.rack_of
+                a_src, a_dst = rack[node[src]], rack[node[dst]]
+                b_src, b_dst = rack[node[other[3]]], rack[node[other[1]]]
+                if other[1] != dst and not _links_shared(
+                    topo, a_src, a_dst, b_src, b_dst
+                ):
+                    continue
+                same_path = a_src == b_src
+            if not (
+                same_path and other[1] == dst and other[2] == tag
+                and other[4] == nbytes and other[5] == inject_end
+            ):
+                raise _Unsupported(
+                    "unsafe ingress tie" if other[1] == dst
+                    else "unsafe link tie"
+                )
+
+    def run(self, first, trailer) -> list[float]:
+        """Per-rank finish clocks of the leading phase plus its trailer.
+
+        ``first`` is ``(phase, args)`` or None (a no-op leading
+        collective); ``trailer`` is ``(phase, root, nbytes)`` or None.
+        """
+        g = self.g
+        procs = g.procs
+        self.trailer = trailer
+        if first is None:
+            # Every rank enters the trailer at time zero.
+            self.trailer = None
+            self.post = [0.0] * procs
+            phase, root, nbytes = trailer
+            self.programs = [
+                phase(self, rank, root, nbytes, 0.0) for rank in range(procs)
+            ]
+        else:
+            phase, args = first
+            self.programs = [phase(self, rank, *args) for rank in range(procs)]
+        resume = self._resume
+        for rank in range(procs):
+            resume(rank, None)
+        heap, node, topo, ig = self.heap, g.node, self.topo, self.ig
+        mail, waiting = self.mail, self.waiting
+        latency, bti, slat = g.latency, g.bti, g.slat
+        tie_t = -1.0
+        tied: list = []
+        while heap:
+            entry = heappop(heap)
+            call_t, dst, tag, src, nbytes, inject_end = entry
+            src_node, dst_node = node[src], node[dst]
+            if src_node == dst_node:
+                deliver = inject_end + slat
+            else:
+                if call_t == tie_t:
+                    self._check_tie(tied, entry)
+                    tied.append(entry)
+                else:
+                    tie_t = call_t
+                    tied = [entry]
+                if topo is None:
+                    arrive = inject_end + latency
+                else:
+                    arrive = topo.arrive(
+                        src_node, dst_node, nbytes, inject_end, latency, 1.0
+                    )
+                free = ig[dst]
+                deliver = (arrive if arrive > free else free) + nbytes * bti
+                ig[dst] = deliver
+            want = waiting[dst]
+            if want is not None and want[0] == tag and want[1] == 1:
+                waiting[dst] = None
+                resume(dst, deliver)
+                continue
+            box = mail[dst]
+            got = box.get(tag)
+            if got is None:
+                got = box[tag] = [1, deliver]
+            else:
+                got[0] += 1
+                if deliver > got[1]:
+                    got[1] = deliver
+            if want is not None and want[0] == tag and want[1] == got[0]:
+                waiting[dst] = None
+                resume(dst, got[1])
+        if any(want is not None for want in waiting):
+            raise _Unsupported("rank program never completed")
+        return self.finish
 
 
-def _bfs_order(tree: Tree, procs: int) -> list[int]:
-    order = [tree.root]
-    frontier = [tree.root]
-    while frontier:
-        nxt: list[int] = []
-        for rank in frontier:
-            nxt.extend(tree.children[rank])
-        order.extend(nxt)
-        frontier = nxt
-    if len(order) != procs:
-        raise _Unsupported("tree does not span the communicator")
-    return order
-
-
-# -- broadcast kernels --------------------------------------------------------
-
-
-def _bcast_linear(cell: _Cell, root: int, nbytes: int) -> list[float]:
-    """Per-rank finish clocks of the linear broadcast (never segmented)."""
-    g = cell.g
-    finish = [0.0] * g.procs
-    if g.procs == 1 or nbytes == 0:
-        return finish
-    peers = [p for p in range(g.procs) if p != root]
-    # Every peer's sole action is one recv posted at time zero.
-    clock, sends = cell.fan_out(
-        root, peers, nbytes, 0.0, post_of=lambda _p: 0.0, ties_ok=True
+def _links_shared(topo, a_src, a_dst, b_src, b_dst) -> bool:
+    """Whether two inter-rack paths reserve a common uplink/downlink."""
+    if a_src == a_dst or b_src == b_dst:
+        return False
+    if a_src == b_src or a_dst == b_dst:
+        return True
+    if topo.pod_link is None:
+        return False
+    pod = topo.pod_of
+    pa_src, pa_dst = pod[a_src], pod[a_dst]
+    pb_src, pb_dst = pod[b_src], pod[b_dst]
+    return (
+        pa_src != pa_dst and pb_src != pb_dst
+        and (pa_src == pb_src or pa_dst == pb_dst)
     )
-    eager = nbytes <= g.eager
-    for peer in peers:
-        inject_end, deliver = sends[peer]
-        # Eager: match = max(deliver, post=0) = deliver; rendezvous
-        # completes at deliver regardless of post.
-        finish[peer] = deliver + g.ro
-        if inject_end > clock:
-            clock = inject_end
-    del eager
-    finish[root] = clock
-    return finish
 
 
-_BCAST_TREES = {
-    "chain": lambda procs, root: build_chain_tree(procs, root, 1),
-    "k_chain": lambda procs, root: build_chain_tree(procs, root, 4),
-    "binary": build_binary_tree,
-    "binomial": build_binomial_tree,
-}
+# -- rank programs ------------------------------------------------------------
+#
+# Each phase is a generator run by every rank that returns the rank's clock
+# when the phase ends.  A leading collective starts every rank at time
+# zero; a trailing linear phase takes the clock its rank's leading phase
+# ended at (``_Cell._resume`` chains them).
 
 
-def _bcast_tree(
-    cell: _Cell, tree: Tree, nbytes: int, segment_size: int
-) -> list[float]:
-    """Per-rank finish clocks of the generic pipelined tree broadcast."""
+def _zero_post(_rank: int) -> float:
+    return 0.0
+
+
+def _bcast_linear(cell: _Cell, rank: int, root: int, nbytes: int):
+    """Linear broadcast (never segmented)."""
     g = cell.g
-    finish = [0.0] * g.procs
-    plan = plan_segments(nbytes, segment_size)
-    segments = plan.num_segments
-    if segments == 0:
-        return finish
-    sizes = plan.sizes
-    if segments > 1 and any(size > g.eager for size in sizes):
-        # Multi-segment rendezvous couples receiver post times back into
-        # sender timelines mid-pipeline; only the event loop orders that.
-        raise _Unsupported("segmented rendezvous pipeline")
-    # arrivals[rank][i]: deliver time of segment i from the parent, filled
-    # during the parent's walk (BFS order ensures it precedes the child's).
-    arrivals: list[list[float]] = [[] for _ in range(g.procs)]
+    if rank == root:
+        # Every peer's sole action is one recv posted at time zero.
+        peers = [p for p in range(g.procs) if p != root]
+        return cell.fan_out(root, peers, nbytes, 0.0, 0, _zero_post, True)
+    # Eager: match = max(deliver, post=0) = deliver; rendezvous completes
+    # at deliver regardless of post.
+    deliver = yield (0, 1)
+    return deliver + g.ro
 
-    def forward(rank: int, clock: float, children, size: int) -> float:
-        """isend ``size`` to every child, then waitall; returns the clock."""
-        # Single-segment rendezvous is admitted because every non-root rank
-        # posts its first receive at its local time zero (leaves and
-        # interiors alike start with the segment-0 irecv).
-        clock, sends = cell.fan_out(
-            rank, list(children), size, clock, post_of=lambda _c: 0.0,
-            ties_ok=False,
-        )
-        for child in children:
-            inject_end, deliver = sends[child]
-            arrivals[child].append(deliver)
-            if inject_end > clock:
-                clock = inject_end
+
+def _bcast_tree(cell: _Cell, rank: int, tree, sizes: list[int]):
+    """Generic pipelined tree broadcast: root push, double-buffered relay."""
+    g = cell.g
+    children = tree.children[rank]
+    clock = 0.0
+    if rank == tree.root:
+        for index, size in enumerate(sizes):
+            clock = cell.fan_out(
+                rank, children, size, clock, index, _zero_post, False
+            )
         return clock
-
+    # Single-segment rendezvous is admitted because every non-root rank
+    # posts its first receive at its local time zero.
     rendezvous = sizes[0] > g.eager
-
-    def recv_done(rank: int, index: int, post: float) -> float:
-        deliver = arrivals[rank][index]
-        if rendezvous:
-            return deliver + g.ro
-        match = deliver if deliver > post else post
-        return match + g.ro
-
-    for rank in _bfs_order(tree, g.procs):
-        children = tree.children[rank]
-        if rank == tree.root:
-            clock = 0.0
-            for size in sizes:
-                clock = forward(rank, clock, children, size)
-            finish[rank] = clock
-            continue
-        # Non-root: double-buffered receive (and forward, if interior).
-        clock = 0.0
-        posts = [0.0] * segments
-        for index in range(1, segments):
-            posts[index] = clock
-            done = recv_done(rank, index - 1, posts[index - 1])
-            if done > clock:
-                clock = done
-            if children:
-                clock = forward(rank, clock, children, sizes[index - 1])
-        done = recv_done(rank, segments - 1, posts[segments - 1])
+    post = 0.0  # the receive for segment ``index`` was posted at ``post``
+    for index, size in enumerate(sizes):
+        next_post = clock  # segment index+1's irecv precedes this wait
+        deliver = yield (index, 1)
+        if not rendezvous and post > deliver:
+            deliver = post
+        done = deliver + g.ro
         if done > clock:
             clock = done
         if children:
-            clock = forward(rank, clock, children, sizes[segments - 1])
-        finish[rank] = clock
-    return finish
-
-
-def _bcast_finishes(
-    cell: _Cell, algorithm: str, root: int, nbytes: int, segment_size: int
-) -> list[float]:
-    if algorithm == "linear":
-        return _bcast_linear(cell, root, nbytes)
-    builder = _BCAST_TREES.get(algorithm)
-    if builder is None:
-        raise _Unsupported(f"bcast algorithm {algorithm!r}")
-    if cell.g.procs == 1 or nbytes == 0:
-        return [0.0] * cell.g.procs
-    return _bcast_tree(cell, builder(cell.g.procs, root), nbytes, segment_size)
-
-
-# -- gather / scatter phases --------------------------------------------------
-
-
-def _gather_linear(
-    cell: _Cell, root: int, nbytes: int, finish: list[float]
-) -> list[float]:
-    """Linear gather appended to per-rank clocks ``finish`` (mutated)."""
-    g = cell.g
-    if g.procs == 1:
-        return finish
-    peers = [p for p in range(g.procs) if p != root]
-    # The root posts every receive, in peer order, at its current clock.
-    root_post = finish[root]
-    eager = nbytes <= g.eager
-    events = []
-    completes = []
-    for peer in peers:
-        clock = finish[peer] + g.so
-        if eager:
-            call_t = clock
-        else:
-            rts = cell.control(peer, root, clock)
-            match = rts if rts > root_post else root_post
-            call_t = cell.control(root, peer, match)
-        if g.node[peer] == g.node[root]:
-            inject_end = call_t + nbytes * g.sbt
-            deliver = inject_end + g.slat
-            if eager:
-                match = deliver if deliver > root_post else root_post
-                completes.append(match + g.ro)
-            else:
-                completes.append(deliver + g.ro)
-        else:
-            inject_end = cell._reserve_egress(peer, call_t, nbytes)
-            events.append(
-                (call_t, inject_end + g.latency, nbytes * g.bti, 0, peer)
+            clock = cell.fan_out(
+                rank, children, size, clock, index, _zero_post, False
             )
-        finish[peer] = clock if inject_end < clock else inject_end
-    delivers = cell.fan_in(root, events)
-    for _call_t, _arrive, _drain, _group, peer in events:
-        deliver = delivers[peer]
-        if eager:
-            match = deliver if deliver > root_post else root_post
-            completes.append(match + g.ro)
-        else:
-            completes.append(deliver + g.ro)
-    clock = root_post
-    for done in completes:
-        if done > clock:
-            clock = done
-    finish[root] = clock
-    return finish
+        post = next_post
+    return clock
 
 
-def _scatter_linear(
-    cell: _Cell, root: int, nbytes: int, finish: list[float]
-) -> list[float]:
-    """Linear scatter appended to per-rank clocks ``finish`` (mutated)."""
+def _reduce_linear(cell: _Cell, rank: int, root: int, nbytes: int):
+    """Linear (direct) reduce."""
     g = cell.g
-    if g.procs == 1:
-        return finish
-    peers = [p for p in range(g.procs) if p != root]
-    # Each peer's receive is posted at its current clock (known statically:
-    # the scatter is the peer's first action after its reduce-phase finish).
-    clock, sends = cell.fan_out(
-        root, peers, nbytes, finish[root],
-        post_of=lambda peer: finish[peer], ties_ok=True,
-    )
+    if rank == root:
+        # Posted at 0: eager match = deliver; rendezvous completes at
+        # deliver as well — identical expression either way.
+        deliver = yield (0, g.procs - 1)
+        clock = deliver + g.ro
+        compute = (g.procs - 1) * nbytes * DEFAULT_OP_BYTE_TIME
+        if compute > 0:
+            clock = clock + compute
+        return clock
+    clock = 0.0 + g.so
+    if nbytes <= g.eager:
+        call_t = clock
+    else:
+        # The root posts every receive at time zero, before any RTS.
+        rts = cell.control(rank, root, clock)
+        call_t = cell.control(root, rank, rts)
+    inject_end = cell.send(rank, root, nbytes, call_t, 0)
+    return clock if inject_end < clock else inject_end
+
+
+def _reduce_tree(cell: _Cell, rank: int, tree, sizes: list[int]):
+    """Generic pipelined tree reduce (leaf-to-root mirror of the bcast)."""
+    g = cell.g
+    children = tree.children[rank]
+    parent = tree.parent[rank]
+    rendezvous = sizes[0] > g.eager
+    clock = 0.0
+    for index, size in enumerate(sizes):
+        if children:
+            post = clock
+            deliver = yield (index, len(children))
+            if not rendezvous and post > deliver:
+                deliver = post
+            done = deliver + g.ro
+            if done > clock:
+                clock = done
+            compute = len(children) * size * DEFAULT_OP_BYTE_TIME
+            if compute > 0:
+                clock = clock + compute
+        if rank != tree.root:
+            clock = clock + g.so
+            if rendezvous:
+                # Single segment only (guarded): the parent posts all its
+                # receives at its local time zero.
+                rts = cell.control(rank, parent, clock)
+                call_t = cell.control(parent, rank, rts)
+            else:
+                call_t = clock
+            inject_end = cell.send(rank, parent, size, call_t, index)
+            if inject_end > clock:
+                clock = inject_end
+    return clock
+
+
+def _gather_linear(cell: _Cell, rank: int, root: int, nbytes: int, clock):
+    """Linear gather appended at ``clock``: every peer sends to the root."""
+    g = cell.g
     eager = nbytes <= g.eager
-    for peer in peers:
-        inject_end, deliver = sends[peer]
-        if eager:
-            post = finish[peer]
-            match = deliver if deliver > post else post
-            finish[peer] = match + g.ro
-        else:
-            finish[peer] = deliver + g.ro
-        if inject_end > clock:
-            clock = inject_end
-    finish[root] = clock
-    return finish
+    if rank == root:
+        # The root posts every receive, in peer order, at its clock.
+        cell.post[root] = clock
+        deliver = yield (_GATHER_TAG, g.procs - 1)
+        if eager and clock > deliver:
+            deliver = clock
+        done = deliver + g.ro
+        return done if done > clock else clock
+    clock = clock + g.so
+    if eager:
+        call_t = clock
+    else:
+        root_post = cell.post[root]
+        if root_post is None:
+            raise _Unsupported("gather root post unknown")
+        rts = cell.control(rank, root, clock)
+        match = rts if rts > root_post else root_post
+        call_t = cell.control(root, rank, match)
+    inject_end = cell.send(rank, root, nbytes, call_t, _GATHER_TAG)
+    return clock if inject_end < clock else inject_end
 
 
-# -- reduce kernels -----------------------------------------------------------
+def _scatter_linear(cell: _Cell, rank: int, root: int, nbytes: int, clock):
+    """Linear scatter appended at ``clock``: the root sends to every peer."""
+    g = cell.g
+    if rank == root:
+        posts = cell.post
 
+        def post_of(peer: int) -> float:
+            # Each peer posts its receive on entering the scatter, which it
+            # reaches before the root can finish the preceding reduce.
+            post = posts[peer]
+            if post is None:
+                raise _Unsupported("scatter receive post unknown")
+            return post
+
+        peers = [p for p in range(g.procs) if p != root]
+        return cell.fan_out(
+            root, peers, nbytes, clock, _SCATTER_TAG, post_of, True
+        )
+    cell.post[rank] = clock
+    deliver = yield (_SCATTER_TAG, 1)
+    if nbytes <= g.eager and clock > deliver:
+        deliver = clock
+    return deliver + g.ro
+
+
+_BCAST_TREES = {
+    "chain": lambda grid, root: build_chain_tree(grid.procs, root, 1),
+    "k_chain": lambda grid, root: build_chain_tree(grid.procs, root, 4),
+    "binary": lambda grid, root: build_binary_tree(grid.procs, root),
+    "binomial": lambda grid, root: build_binomial_tree(grid.procs, root),
+    "hierarchical": lambda grid, root: build_hierarchy_tree(
+        grid.group_of, root
+    ),
+}
 
 _REDUCE_TREES = {
-    "chain": lambda procs, root: build_chain_tree(procs, root, 1),
-    "binary": build_binary_tree,
-    "binomial": build_binomial_tree,
-    "in_order_binomial": build_in_order_binomial_tree,
+    "chain": lambda grid, root: build_chain_tree(grid.procs, root, 1),
+    "binary": lambda grid, root: build_binary_tree(grid.procs, root),
+    "binomial": lambda grid, root: build_binomial_tree(grid.procs, root),
+    "in_order_binomial": lambda grid, root: build_in_order_binomial_tree(
+        grid.procs, root
+    ),
+    "hierarchical": lambda grid, root: build_hierarchy_tree(
+        grid.group_of, root
+    ),
 }
 
 
-def _reduce_linear(cell: _Cell, root: int, nbytes: int) -> list[float]:
-    """Per-rank finish clocks of the linear (direct) reduce."""
-    g = cell.g
-    finish = [0.0] * g.procs
-    if g.procs == 1 or nbytes == 0:
-        return finish
-    eager = nbytes <= g.eager
-    events = []
-    completes = []
-    for peer in range(g.procs):
-        if peer == root:
-            continue
-        clock = 0.0 + g.so
-        if eager:
-            call_t = clock
-        else:
-            # The root posts every receive at time zero, before any RTS.
-            rts = cell.control(peer, root, clock)
-            call_t = cell.control(root, peer, rts)
-        if g.node[peer] == g.node[root]:
-            inject_end = call_t + nbytes * g.sbt
-            deliver = inject_end + g.slat
-            completes.append(deliver + g.ro)
-        else:
-            inject_end = cell._reserve_egress(peer, call_t, nbytes)
-            events.append(
-                (call_t, inject_end + g.latency, nbytes * g.bti, 0, peer)
-            )
-        finish[peer] = clock if inject_end < clock else inject_end
-    delivers = cell.fan_in(root, events)
-    for _call_t, _arrive, _drain, _group, peer in events:
-        # Posted at 0: eager match = deliver; rendezvous completes at
-        # deliver as well — identical expression either way.
-        completes.append(delivers[peer] + g.ro)
-    clock = 0.0
-    for done in completes:
-        if done > clock:
-            clock = done
-    compute = (g.procs - 1) * nbytes * DEFAULT_OP_BYTE_TIME
-    if compute > 0:
-        clock = clock + compute
-    finish[root] = clock
-    return finish
-
-
-def _reduce_tree(
-    cell: _Cell, tree: Tree, nbytes: int, segment_size: int
-) -> list[float]:
-    """Per-rank finish clocks of the generic pipelined tree reduce."""
-    g = cell.g
-    finish = [0.0] * g.procs
-    plan = plan_segments(nbytes, segment_size)
-    segments = plan.num_segments
-    if segments == 0:
-        return finish
-    sizes = plan.sizes
-    if segments > 1 and any(size > g.eager for size in sizes):
+def _first_phase(grid: _Grid, job):
+    """``(phase, args)`` of the job's leading collective, or None (no-op)."""
+    if job.kind in ("bcast", "bcast_then_gather"):
+        family, linear, tree_phase, table = (
+            "bcast", _bcast_linear, _bcast_tree, _BCAST_TREES
+        )
+    elif job.kind in ("reduce", "reduce_then_scatter"):
+        family, linear, tree_phase, table = (
+            "reduce", _reduce_linear, _reduce_tree, _REDUCE_TREES
+        )
+    elif job.kind == "gather":
+        if job.algorithm != "linear":
+            raise _Unsupported("non-linear gather")
+        return None
+    else:
+        raise _Unsupported(f"kind {job.kind!r}")
+    if job.algorithm != "linear" and job.algorithm not in table:
+        raise _Unsupported(f"{family} algorithm {job.algorithm!r}")
+    if grid.procs == 1 or job.nbytes == 0:
+        return None
+    if job.algorithm == "linear":
+        return linear, (job.root, job.nbytes)
+    tree = grid.tree(table[job.algorithm], job.root)
+    sizes = plan_segments(job.nbytes, job.segment_size).sizes
+    if not sizes:
+        return None
+    if len(sizes) > 1 and any(size > grid.eager for size in sizes):
+        # Multi-segment rendezvous couples receiver post times back into
+        # sender timelines mid-pipeline; only the event loop orders that.
         raise _Unsupported("segmented rendezvous pipeline")
-    rendezvous = sizes[0] > g.eager
-    # inbox[parent]: (call_t, arrive, drain, segment, (child, segment))
-    # events plus intra-node delivers, filled by children (walked first).
-    inbox: list[list] = [[] for _ in range(g.procs)]
-    intra: list[dict] = [{} for _ in range(g.procs)]
-
-    order = _bfs_order(tree, g.procs)
-    for rank in reversed(order):
-        children = tree.children[rank]
-        parent = tree.parent[rank]
-        delivers = cell.fan_in(rank, inbox[rank]) if children else {}
-        delivers.update(intra[rank])
-        clock = 0.0
-        for index, size in enumerate(sizes):
-            if children:
-                post = clock
-                for child in children:
-                    deliver = delivers[(child, index)]
-                    if not rendezvous:
-                        deliver = deliver if deliver > post else post
-                    done = deliver + g.ro
-                    if done > clock:
-                        clock = done
-                compute = len(children) * size * DEFAULT_OP_BYTE_TIME
-                if compute > 0:
-                    clock = clock + compute
-            if rank != tree.root:
-                clock = clock + g.so
-                if rendezvous:
-                    # Single segment only (guarded above): the parent posts
-                    # all its receives at its local time zero.
-                    rts = cell.control(rank, parent, clock)
-                    call_t = cell.control(parent, rank, rts)
-                else:
-                    call_t = clock
-                if g.node[rank] == g.node[parent]:
-                    inject_end = call_t + size * g.sbt
-                    intra[parent][(rank, index)] = inject_end + g.slat
-                else:
-                    inject_end = cell._reserve_egress(rank, call_t, size)
-                    inbox[parent].append(
-                        (call_t, inject_end + g.latency, size * g.bti,
-                         index, (rank, index))
-                    )
-                if inject_end > clock:
-                    clock = inject_end
-        finish[rank] = clock
-    return finish
-
-
-def _reduce_finishes(
-    cell: _Cell, algorithm: str, root: int, nbytes: int, segment_size: int
-) -> list[float]:
-    if algorithm == "linear":
-        return _reduce_linear(cell, root, nbytes)
-    builder = _REDUCE_TREES.get(algorithm)
-    if builder is None:
-        raise _Unsupported(f"reduce algorithm {algorithm!r}")
-    if cell.g.procs == 1 or nbytes == 0:
-        return [0.0] * cell.g.procs
-    return _reduce_tree(cell, builder(cell.g.procs, root), nbytes, segment_size)
+    return tree_phase, (tree, sizes)
 
 
 # -- the batch front end ------------------------------------------------------
@@ -697,7 +765,7 @@ class BatchSimulator:
 
     def __init__(self) -> None:
         self.stats = BatchStats()
-        self._grids: dict[tuple, _Grid | None] = {}
+        self._grids: dict[tuple, _Grid | str] = {}
 
     def _grid_for(self, job) -> _Grid:
         # ``execute_job`` forwards ``job.mapping`` only for the plain
@@ -705,56 +773,40 @@ class BatchSimulator:
         # ``measure``'s default block mapping — mirror that exactly.
         mapping = job.mapping if job.kind == "bcast" else "block"
         key = (job.spec.fingerprint(), job.procs, mapping)
-        grid = self._grids.get(key, False)
-        if grid is False:
+        grid = self._grids.get(key)
+        if grid is None:
             try:
                 grid = _Grid(job.spec, job.procs, mapping)
-            except _Unsupported:
-                grid = None
+            except _Unsupported as refusal:
+                grid = str(refusal)
             self._grids[key] = grid
         else:
             self.stats.shared_setup_hits += 1
-        if grid is None:
-            raise _Unsupported("ineligible platform")
+        if isinstance(grid, str):
+            raise _Unsupported(grid)
         return grid
 
     # -- columnar dispatch --------------------------------------------------
 
-    def _columnar(self, job) -> float | None:
-        """The cell's result via the columnar kernels, or None."""
-        try:
-            grid = self._grid_for(job)
-            cell = _Cell(grid)
-            if job.kind == "bcast":
-                finish = _bcast_finishes(
-                    cell, job.algorithm, job.root, job.nbytes, job.segment_size
-                )
-            elif job.kind == "bcast_then_gather":
-                finish = _bcast_finishes(
-                    cell, job.algorithm, job.root, job.nbytes, job.segment_size
-                )
-                finish = _gather_linear(cell, job.root, job.gather_bytes, finish)
-            elif job.kind == "gather":
-                if job.algorithm != "linear":
-                    raise _Unsupported("non-linear gather")
-                finish = _gather_linear(
-                    cell, job.root, job.nbytes, [0.0] * grid.procs
-                )
-            elif job.kind == "reduce":
-                finish = _reduce_finishes(
-                    cell, job.algorithm, job.root, job.nbytes, job.segment_size
-                )
-            elif job.kind == "reduce_then_scatter":
-                finish = _reduce_finishes(
-                    cell, job.algorithm, job.root, job.nbytes, job.segment_size
-                )
-                finish = _scatter_linear(
-                    cell, job.root, job.gather_bytes, finish
-                )
-            else:
-                raise _Unsupported(f"kind {job.kind!r}")
-        except _Unsupported:
-            return None
+    def _columnar(self, job) -> float:
+        """The cell's result via the columnar kernels.
+
+        Raises :class:`_Unsupported`, naming the reason, for a cell the
+        kernels cannot reproduce exactly.
+        """
+        grid = self._grid_for(job)
+        first = _first_phase(grid, job)
+        last = None
+        if job.kind == "bcast_then_gather" or job.kind == "gather":
+            nbytes = job.gather_bytes if job.kind != "gather" else job.nbytes
+            last = (_gather_linear, job.root, nbytes)
+        elif job.kind == "reduce_then_scatter" and job.gather_bytes:
+            # ``scatter_linear`` returns at once for an empty payload.
+            last = (_scatter_linear, job.root, job.gather_bytes)
+        if grid.procs == 1 or (first is None and last is None):
+            finish = [0.0] * grid.procs
+        else:
+            finish = _Cell(grid).run(first, last)
         # The composite experiments hardcode root timing in ``measure``
         # (their programs end on the root); ``job.policy`` only reaches the
         # simple-collective measurements.
@@ -767,7 +819,7 @@ class BatchSimulator:
             return finish[job.root]
         if policy == "global":
             return max(finish)
-        return None
+        raise _Unsupported(f"timing policy {policy!r}")
 
     # -- execution ----------------------------------------------------------
 
@@ -776,28 +828,32 @@ class BatchSimulator:
         from repro.exec.job import execute_job
 
         jobs = list(jobs)
+        stats = self.stats
         with obs.span("sim.batch", cells=len(jobs)) as span:
             groups: dict[str, list[int]] = {}
             for index, job in enumerate(jobs):
                 groups.setdefault(dedupe_key(job), []).append(index)
-            self.stats.cells += len(jobs)
-            self.stats.unique_cells += len(groups)
-            self.stats.deduped += len(jobs) - len(groups)
+            stats.cells += len(jobs)
+            stats.unique_cells += len(groups)
+            stats.deduped += len(jobs) - len(groups)
             results: list[float] = [0.0] * len(jobs)
             for indices in groups.values():
                 job = jobs[indices[0]]
-                value = self._columnar(job)
-                if value is None:
-                    self.stats.event_loop += 1
+                try:
+                    value = self._columnar(job)
+                except _Unsupported as refusal:
+                    stats.event_loop += 1
+                    stats.fallbacks[str(refusal)] += 1
                     value = execute_job(job)
                 else:
-                    self.stats.columnar += 1
+                    stats.columnar += 1
                 for index in indices:
                     results[index] = value
             span.set_attrs(
-                unique_cells=self.stats.unique_cells,
-                columnar=self.stats.columnar,
-                event_loop=self.stats.event_loop,
-                shared_setup_hits=self.stats.shared_setup_hits,
+                unique_cells=stats.unique_cells,
+                columnar=stats.columnar,
+                event_loop=stats.event_loop,
+                shared_setup_hits=stats.shared_setup_hits,
+                fallbacks=dict(sorted(stats.fallbacks.items())),
             )
         return results

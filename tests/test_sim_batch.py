@@ -9,7 +9,10 @@ The load-bearing properties:
   to :func:`repro.exec.execute_job` cleanly, still returning identical
   results;
 * the runner's batched prefetch is equivalent to the serial path and a
-  warm persistent cache replays a batch with *zero* new simulations.
+  warm persistent cache replays a batch with *zero* new simulations;
+* on every multi-level fabric the rack/pod link reservations and the
+  hierarchical trees stay bit-identical too, and every fallback is
+  recorded under a named reason.
 """
 
 from __future__ import annotations
@@ -18,11 +21,13 @@ import pytest
 
 from repro.clusters import GRISOU, MINICLUSTER
 from repro.collectives import BARRIER_ALGORITHMS, GATHER_ALGORITHMS
-from repro.collectives.bcast import PAPER_BCAST_ALGORITHMS
+from repro.collectives.bcast import BCAST_ALGORITHMS, PAPER_BCAST_ALGORITHMS
 from repro.collectives.reduce import REDUCE_ALGORITHMS
 from repro.estimation.alphabeta import alphabeta_prefetch_jobs
 from repro.exec import ParallelRunner, ResultCache, SimJob, execute_job
+from repro.fabric import available_fabrics, build_fabric
 from repro.faults.plan import FaultPlan, StragglerFault
+from repro.sim import batch
 from repro.sim.batch import BatchSimulator, dedupe_key, noise_free
 from repro.units import KiB, MiB
 
@@ -109,6 +114,18 @@ class TestColumnarParity:
         assert sim.stats.unique_cells == 1
 
 
+class TestEmptyTrailer:
+    def test_empty_scatter_is_a_no_op(self):
+        # ``scatter_linear`` returns at once for an empty payload; the
+        # kernel must not simulate zero-byte sends in its place.
+        jobs = [SimJob(spec=MINICLUSTER, kind="reduce_then_scatter", procs=8,
+                       algorithm=algorithm, nbytes=4 * KiB, gather_bytes=0)
+                for algorithm in ("linear", "binomial")]
+        sim = BatchSimulator()
+        assert sim.run(jobs) == [execute_job(job) for job in jobs]
+        assert sim.stats.columnar == len(jobs)
+
+
 class TestFallback:
     def test_noisy_spec_falls_back_and_matches(self):
         spec = MINICLUSTER.with_noise(0.2)
@@ -172,3 +189,131 @@ class TestRunnerIntegration:
         warm.prefetch(jobs)
         assert warm.run(jobs) == first
         assert warm.stats.simulations == 0
+
+
+def fabric_grid(spec, procs, fabric, root=0):
+    """Both calibration composites of every bcast/reduce algorithm.
+
+    Three shapes per algorithm: eager, unsegmented rendezvous, and a
+    segmented eager pipeline — with gather/scatter trailers on both sides
+    of the eager limit.
+    """
+    spec = spec.with_fabric(build_fabric(fabric, spec))
+    shapes = ((1 * KiB, 0, 32 * KiB), (48 * KiB, 0, 1 * KiB),
+              (64 * KiB, 8 * KiB, 2 * KiB))
+    jobs = []
+    for nbytes, segment, trailer in shapes:
+        for algorithm in BCAST_ALGORITHMS:
+            jobs.append(SimJob(
+                spec=spec, kind="bcast_then_gather", procs=procs,
+                algorithm=algorithm, nbytes=nbytes, segment_size=segment,
+                gather_bytes=trailer, root=root,
+            ))
+        for algorithm in REDUCE_ALGORITHMS:
+            jobs.append(SimJob(
+                spec=spec, kind="reduce_then_scatter", procs=procs,
+                algorithm=algorithm, nbytes=nbytes, segment_size=segment,
+                gather_bytes=trailer, root=root,
+            ))
+    return jobs
+
+
+class TestFabricParity:
+    @pytest.mark.parametrize("fabric", available_fabrics())
+    @pytest.mark.parametrize(
+        "spec,procs",
+        # GRISOU at 56 ranks spans two racks on every shape (26 nodes of
+        # two ranks per rack on the 2:1 shapes) and two pods on the tree.
+        [(MINICLUSTER, 16), (GRISOU_QUIET, 56)],
+        ids=["minicluster", "grisou-quiet"],
+    )
+    def test_every_fabric_bit_identical(self, spec, procs, fabric):
+        jobs = fabric_grid(spec, procs, fabric, root=0 if procs == 16 else 3)
+        sim = BatchSimulator()
+        assert sim.run(jobs) == [execute_job(job) for job in jobs]
+        assert sim.stats.columnar > 0
+        # Every fallback carries a named reason.
+        assert sum(sim.stats.fallbacks.values()) == sim.stats.event_loop
+
+    def test_leaf_spine_mostly_columnar(self):
+        jobs = fabric_grid(MINICLUSTER, 16, "leaf_spine_2to1")
+        jobs += [
+            SimJob(spec=jobs[0].spec, kind=kind, procs=16,
+                   algorithm="hierarchical", nbytes=256 * KiB,
+                   segment_size=8 * KiB, root=root, policy=policy)
+            for kind in ("bcast", "reduce")
+            for root in (0, 11)
+            for policy in ("root", "global")
+        ]
+        sim = BatchSimulator()
+        assert sim.run(jobs) == [execute_job(job) for job in jobs]
+        assert sim.stats.columnar > sim.stats.event_loop
+        # Hierarchical trees and uplink reservations run columnar.
+        hierarchical = [job for job in jobs if job.algorithm == "hierarchical"]
+        only = BatchSimulator()
+        only.run(hierarchical)
+        assert only.stats.event_loop == 0
+
+
+class TestFallbackLedger:
+    def test_unsafe_link_tie_falls_back_named(self):
+        # Two relays of a binary tree forward into the other rack at one
+        # timestamp with identical injection ends: which one takes the
+        # shared uplink first is up to the event loop's heap.
+        spec = MINICLUSTER.with_fabric(
+            build_fabric("leaf_spine_2to1", MINICLUSTER)
+        )
+        jobs = [SimJob(spec=spec, kind="bcast_then_gather", procs=16,
+                       algorithm="binary", nbytes=8 * KiB,
+                       segment_size=8 * KiB, gather_bytes=1 * KiB)]
+        sim = BatchSimulator()
+        assert sim.run(jobs) == [execute_job(job) for job in jobs]
+        assert sim.stats.fallbacks == {"unsafe link tie": 1}
+        assert sim.stats.as_dict()["fallbacks"] == {"unsafe link tie": 1}
+
+    def test_out_of_order_call_falls_back_named(self, monkeypatch):
+        # A kernel that issues its sends latest-first breaks the egress
+        # NIC's call order; the guard must refuse rather than guess.
+        def reversed_fan_out(self, src, targets, nbytes, clock, tag,
+                             post_of, ties_ok):
+            calls = []
+            for _ in targets:
+                clock = clock + self.g.so
+                calls.append(clock)
+            ends = [self.send(src, dst, nbytes, call, tag)
+                    for dst, call in reversed(list(zip(targets, calls)))]
+            return max(ends + [clock])
+
+        monkeypatch.setattr(batch._Cell, "fan_out", reversed_fan_out)
+        spec = MINICLUSTER.with_fabric(
+            build_fabric("leaf_spine_2to1", MINICLUSTER)
+        )
+        jobs = [SimJob(spec=spec, kind="bcast", procs=12, algorithm="linear",
+                       nbytes=4 * KiB)]
+        sim = BatchSimulator()
+        assert sim.run(jobs) == [execute_job(job) for job in jobs]
+        assert sim.stats.fallbacks == {"egress call order violated": 1}
+
+    def test_unsupported_algorithm_reason(self):
+        jobs = [SimJob(spec=MINICLUSTER, kind="bcast", procs=8,
+                       algorithm="split_binary", nbytes=64 * KiB,
+                       segment_size=8 * KiB),
+                SimJob(spec=MINICLUSTER.with_noise(0.1), kind="reduce",
+                       procs=8, algorithm="binomial", nbytes=1 * KiB)]
+        sim = BatchSimulator()
+        assert sim.run(jobs) == [execute_job(job) for job in jobs]
+        assert sim.stats.fallbacks == {
+            "bcast algorithm 'split_binary'": 1,
+            "noisy or faulty spec": 1,
+        }
+
+    def test_runner_folds_inline_ledger(self):
+        jobs = fabric_grid(MINICLUSTER, 16, "leaf_spine_2to1")[:12]
+        runner = ParallelRunner(jobs=1, batch=True)
+        runner.prefetch(jobs)
+        stats = runner.stats
+        assert stats.columnar_cells + stats.event_loop_cells == len(jobs)
+        assert sum(stats.fallbacks.values()) == stats.event_loop_cells
+        assert stats.as_dict()["fallbacks"] == dict(sorted(
+            stats.fallbacks.items()
+        ))
