@@ -21,9 +21,13 @@ Each entry has four measurement groups (see docs/PERFORMANCE.md):
    gather, barrier, allreduce, allgather, alltoall, scatter) built cold
    against a fresh persistent cache and then rebuilt warm, asserting the
    warm replay performs zero simulations and reproduces the content hash;
-5. **metadata** — CPU count, Python version, platform, timestamp — because
-   the parallel speedup claim is only meaningful relative to the core
-   count the run had.
+5. **noisy build** — the same eight collectives on GROS as shipped (its
+   default lognormal noise), cold and serial, once on the event loop
+   (``batch=False``) and once batched, asserting identical content hashes
+   and recording the batched build's simulation ledger;
+6. **metadata** — timestamp, git rev, Python version, CPU count, platform
+   — because the parallel speedup claim is only meaningful relative to
+   the core count the run had.
 
 Usage::
 
@@ -47,6 +51,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from bench_meta import run_metadata  # noqa: E402
 from repro.clusters import GROS, MINICLUSTER  # noqa: E402
 from repro.exec import ParallelRunner, ResultCache, cpu_count  # noqa: E402
 from repro.units import KiB, MiB, log_spaced_sizes  # noqa: E402
@@ -328,6 +333,52 @@ def run_full_suite_build_benchmark(full: bool, jobs: int) -> dict:
     }
 
 
+def run_noisy_build_benchmark() -> dict:
+    """Cold eight-collective build on GROS as shipped, both engines.
+
+    The number users pay: the paper's noisy default preset, serial
+    (``jobs=1``) and cold, with the perfbench ``build-noisy`` calibration
+    knobs.  Noisy cells batch through keyed noise, so the two engines must
+    agree on the content hash.
+    """
+    from repro.service import build_artifact
+
+    kwargs = dict(collectives=FULL_SUITE, procs=8, gamma_max_procs=5,
+                  max_reps=8)
+    timings, hashes, ledgers = {}, {}, {}
+    for batch in (False, True):
+        runner = ParallelRunner(jobs=1, batch=batch)
+        start = time.perf_counter()
+        artifact = build_artifact(GROS, runner=runner, seed=0, **kwargs)
+        timings[batch] = time.perf_counter() - start
+        hashes[batch] = artifact.content_hash()
+        ledgers[batch] = artifact.build_info["simulation"]
+        runner.close()
+    if hashes[True] != hashes[False]:
+        raise RuntimeError(
+            "batched noisy build diverged from the event-loop build: "
+            f"{hashes[True]} != {hashes[False]}"
+        )
+    return {
+        "workload": {
+            "cluster": GROS.name,
+            "noise_sigma": GROS.noise_sigma,
+            "collectives": list(FULL_SUITE),
+            "procs": kwargs["procs"],
+            "gamma_max_procs": kwargs["gamma_max_procs"],
+            "max_reps": kwargs["max_reps"],
+            "jobs": 1,
+        },
+        "event_loop_cold_build_s": timings[False],
+        "batched_cold_build_s": timings[True],
+        "speedup_batched_vs_event_loop": timings[False] / timings[True],
+        "simulations": ledgers[False]["simulations"],
+        "ledger": ledgers[True],
+        "content_hash": hashes[True],
+        "content_hash_identical": True,
+    }
+
+
 def append_run(output: Path, run: dict) -> list:
     """Append ``run`` to the ``runs`` list of ``output``.
 
@@ -366,11 +417,9 @@ def main(argv=None) -> int:
 
     report = {
         "metadata": {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "python": platform.python_version(),
+            **run_metadata(),
             "machine": platform.machine(),
             "system": platform.system(),
-            "cpu_count": cpu_count(),
             "note": (
                 "parallel speedup scales with cpu_count; on a single-core "
                 "machine parallel_cold_s ~= serial_cold_s plus pool overhead"
@@ -407,6 +456,9 @@ def main(argv=None) -> int:
         args.full, jobs
     )
 
+    print("running noisy GROS build, event loop vs batched (jobs=1)...")
+    report["noisy_build"] = run_noisy_build_benchmark()
+
     runs = append_run(Path(args.output), report)
     print(f"appended run {len(runs)} to {args.output}")
     sel = report["selection_comparison"]
@@ -434,6 +486,18 @@ def main(argv=None) -> int:
         f"cold {suite['cold_build_s']:.2f}s "
         f"({suite['cold_simulations']} simulations) | "
         f"warm {suite['warm_build_s']:.2f}s (0 simulations, hash identical)"
+    )
+    noisy = report["noisy_build"]
+    ledger = noisy["ledger"]
+    print(
+        f"noisy GROS build: event loop {noisy['event_loop_cold_build_s']:.2f}s"
+        f" | batched {noisy['batched_cold_build_s']:.2f}s "
+        f"({noisy['speedup_batched_vs_event_loop']:.1f}x, hashes identical); "
+        f"{ledger['simulations']} simulations, "
+        f"{ledger['columnar_cells']} columnar / "
+        f"{ledger['event_loop_cells']} event-loop cells (top-ups "
+        f"{ledger['topups']['columnar_cells']} / "
+        f"{ledger['topups']['event_loop_cells']})"
     )
     return 0
 

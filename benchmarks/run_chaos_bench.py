@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import platform
 import sys
 import time
 from pathlib import Path
@@ -31,6 +30,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from bench_meta import run_metadata  # noqa: E402
 from repro.bench.chaos import chaos_sweep, format_chaos, severity_plan  # noqa: E402
 from repro.clusters import MINICLUSTER  # noqa: E402
 from repro.errors import ArtifactError  # noqa: E402
@@ -111,6 +111,7 @@ def run(smoke: bool, jobs: int, seed: int) -> dict:
     print(f"sweep completed in {sweep_seconds:.1f} s "
           f"({'smoke' if smoke else 'full'}, jobs={jobs})")
     return {
+        "metadata": run_metadata(),
         "benchmark": "chaos",
         "mode": "smoke" if smoke else "full",
         "cluster": MINICLUSTER.name,
@@ -121,7 +122,6 @@ def run(smoke: bool, jobs: int, seed: int) -> dict:
         "drift_budget_percent": DRIFT_BUDGET_PERCENT,
         "strict_artifact": artifact.artifact_id,
         "reports": [report.as_dict() for report in reports],
-        "python": platform.python_version(),
     }
 
 
@@ -136,17 +136,17 @@ def main() -> int:
 
     record = run(args.smoke, args.jobs, args.seed)
     out = Path(args.out)
-    history = []
+    runs = []
     if out.exists():
         try:
-            history = json.loads(out.read_text())
+            existing = json.loads(out.read_text())
         except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(record)
-    out.write_text(json.dumps(history, indent=2) + "\n")
-    print(f"record appended to {out}")
+            existing = {"runs": []}
+        # Files from before the runs list held a bare list of records.
+        runs = existing if isinstance(existing, list) else existing["runs"]
+    runs.append(record)
+    out.write_text(json.dumps({"runs": runs}, indent=2) + "\n")
+    print(f"run {len(runs)} appended to {out}")
     return 0
 
 

@@ -310,12 +310,16 @@ def _cmd_artifact_build(args) -> int:
     print(f"artifact {artifact.artifact_id} written to {args.output}")
     ledger = artifact.build_info.get("simulation", {})
     if ledger.get("columnar_cells") or ledger.get("event_loop_cells"):
+        topups = ledger["topups"]
         reasons = ", ".join(
             f"{reason}: {count}" for reason, count in ledger["fallbacks"].items()
         )
         print(
-            f"  simulation: {ledger['columnar_cells']} columnar, "
-            f"{ledger['event_loop_cells']} event-loop cells"
+            f"  simulation: {ledger['simulations']} simulations; "
+            f"{ledger['columnar_cells']} columnar, "
+            f"{ledger['event_loop_cells']} event-loop cells (top-ups: "
+            f"{topups['columnar_cells']} columnar, "
+            f"{topups['event_loop_cells']} event-loop)"
             + (f" (fallbacks: {reasons})" if reasons else "")
         )
     for operation, info in artifact.summary()["operations"].items():

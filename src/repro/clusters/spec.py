@@ -14,7 +14,7 @@ from repro.faults.plan import FaultPlan
 from repro.mpi.communicator import MpiWorld
 from repro.sim.engine import Simulator
 from repro.sim.network import Fabric, NetworkParams
-from repro.sim.noise import LognormalNoise, NoNoise
+from repro.sim.noise import make_noise
 from repro.sim.trace import NULL_TRACER, Tracer
 
 
@@ -135,13 +135,10 @@ class ClusterSpec:
                 else None
             )
         else:
-            noise = (
-                LognormalNoise(sigma=sigma, seed=seed) if sigma > 0 else NoNoise()
-            )
             fabric = Fabric(
                 params=self.network,
                 num_nodes=num_nodes,
-                noise=noise,
+                noise=make_noise(sigma, seed),
                 ports_per_node=self.nics_per_node,
                 degradation=degradation,
                 topology=topology,

@@ -39,8 +39,13 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from typing import TYPE_CHECKING
+
 from repro.clusters.spec import ClusterSpec
 from repro.errors import SimulationError
+
+if TYPE_CHECKING:
+    from repro.sim.batch import BatchStats
 
 #: Job kinds understood by :func:`execute_job`.
 JOB_KINDS = (
@@ -87,8 +92,10 @@ class SimJob:
     mapping: str = "block"
     #: Endpoint ranks of a ``p2p_roundtrip``.
     ranks: tuple[int, int] = (0, 1)
+    #: Memo for :meth:`fingerprint`.  Not an ``__init__`` argument, so
+    #: ``dataclasses.replace`` gives the new job a fresh, empty memo.
     _fingerprint: list = field(
-        default_factory=list, compare=False, repr=False, hash=False
+        default_factory=list, init=False, compare=False, repr=False, hash=False
     )
 
     def __post_init__(self) -> None:
@@ -252,9 +259,11 @@ class BatchJob:
     The parallel runner cuts a prefetched grid into slabs and ships each as
     one ``BatchJob`` — one IPC round trip and one shared-setup scope per
     slab instead of per cell.  A batch is *not* a new simulation semantics:
-    :func:`execute_batch_job` returns exactly
-    ``[execute_job(cell) for cell in cells]``, and per-cell results are
-    cached under the individual cell fingerprints, never under the batch's.
+    :func:`execute_batch_job` returns ``(results, stats)`` where
+    ``results`` equals ``[execute_job(cell) for cell in cells]`` and
+    ``stats`` is the slab's :class:`~repro.sim.batch.BatchStats`; per-cell
+    results are cached under the individual cell fingerprints, never under
+    the batch's.
     """
 
     cells: tuple[SimJob, ...]
@@ -271,14 +280,17 @@ class BatchJob:
         return f"batch[{len(self.cells)} cells]"
 
 
-def execute_batch_job(batch: BatchJob) -> list[float]:
+def execute_batch_job(batch: BatchJob) -> tuple[list[float], "BatchStats"]:
     """Run one slab through the batched engine; results in cell order.
 
     Module-level and picklable, like :func:`execute_job`, so pool workers
-    can execute whole slabs.  Bit-for-bit identical to mapping
-    :func:`execute_job` over the cells (the batched engine falls back to it
-    wherever its fast path cannot guarantee equality).
+    can execute whole slabs.  The results are bit-for-bit identical to
+    mapping :func:`execute_job` over the cells (the batched engine falls
+    back to it wherever its fast path cannot guarantee equality); the
+    slab's :class:`~repro.sim.batch.BatchStats` come back alongside, so
+    the parent's ledger counts pool work too.
     """
     from repro.sim.batch import BatchSimulator
 
-    return BatchSimulator().run(batch.cells)
+    simulator = BatchSimulator()
+    return simulator.run(batch.cells), simulator.stats

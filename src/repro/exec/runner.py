@@ -8,9 +8,10 @@ and returns their results *in batch order*.  Resolution is layered:
    work even with the persistent cache disabled);
 2. **persistent cache** — the cross-process, cross-session
    :class:`~repro.exec.cache.ResultCache`, if configured;
-3. **execution** — remaining jobs run through
-   :func:`~repro.exec.job.execute_job`, either serially or on a
-   ``ProcessPoolExecutor`` with chunked dispatch.
+3. **execution** — remaining jobs run through the batched engine
+   (:class:`~repro.sim.batch.BatchSimulator`, the default) or
+   :func:`~repro.exec.job.execute_job`, either in process or on a
+   ``ProcessPoolExecutor``.
 
 Determinism: simulations are seeded and share no state, worker dispatch
 preserves batch order (``Executor.map``), and a worker computes exactly the
@@ -22,8 +23,9 @@ The typical access pattern is *prefetch then replay*: a hot caller submits
 the first repetitions of every measurement in its sweep as one parallel
 batch, then runs its (inherently sequential) adaptive-measurement loop,
 which finds each simulation already memoised.  Adaptive loops that need
-more repetitions than were prefetched fall through to serial execution of
-just the extra repetitions — semantics identical to the fully serial path.
+more repetitions than were prefetched fall through to execution of just
+the extra repetitions (through the batched engine when it is on) —
+semantics identical to the fully serial path.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from typing import Sequence
 from repro import obs
 from repro.exec.cache import ResultCache
 from repro.exec.job import BatchJob, SimJob, execute_batch_job, execute_job
+from repro.sim.batch import BatchSimulator, BatchStats, dedupe_key
 
 #: Sleep before each pool-rebuild attempt after a worker crash.  Short:
 #: the common killer (OOM, an operator's stray ``kill``) either clears
@@ -69,12 +72,25 @@ class ExecStats:
     #: were answered by another cell's result (noise-free seed dedupe).
     batched_cells: int = 0
     deduped_cells: int = 0
-    #: Distinct cells the in-process batched engine resolved through its
-    #: columnar kernels / through the event loop, and the fallback reasons
-    #: (slabs run in pool workers are not counted here).
+    #: Distinct cells the batched engine resolved through its columnar
+    #: kernels / through the event loop (in process or in pool slabs), and
+    #: the fallback reasons.
     columnar_cells: int = 0
     event_loop_cells: int = 0
     fallbacks: Counter = field(default_factory=Counter)
+    #: The share of those cells that were adaptive top-ups (:meth:`run`
+    #: misses) rather than prefetched grid cells.
+    topup_columnar_cells: int = 0
+    topup_event_loop_cells: int = 0
+
+    def add_batch(self, batch: BatchStats, topup: bool) -> None:
+        """Fold one batched pass's ledger into these counters."""
+        self.columnar_cells += batch.columnar
+        self.event_loop_cells += batch.event_loop
+        self.fallbacks.update(batch.fallbacks)
+        if topup:
+            self.topup_columnar_cells += batch.columnar
+            self.topup_event_loop_cells += batch.event_loop
 
     def as_dict(self) -> dict:
         return {
@@ -89,6 +105,8 @@ class ExecStats:
             "columnar_cells": self.columnar_cells,
             "event_loop_cells": self.event_loop_cells,
             "fallbacks": dict(sorted(self.fallbacks.items())),
+            "topup_columnar_cells": self.topup_columnar_cells,
+            "topup_event_loop_cells": self.topup_event_loop_cells,
         }
 
 
@@ -142,6 +160,9 @@ class ParallelRunner:
         self.batch = batch_default() if batch is None else bool(batch)
         self.stats = ExecStats()
         self._memo: dict[str, float] = {}
+        #: The in-process batched engine; its grids (placements, trees)
+        #: serve every prefetch and top-up of this runner.
+        self._simulator = BatchSimulator()
         self._pool: ProcessPoolExecutor | None = None
         atexit.register(self.close)
 
@@ -166,6 +187,8 @@ class ParallelRunner:
             self._pool = None
 
     def _execute_batch(self, jobs: list[SimJob]) -> list[float]:
+        if self.batch:
+            return self._execute_cells(jobs, topup=True)
         if self.jobs == 1 or len(jobs) == 1:
             with obs.span("exec.execute", dispatch="inline", jobs=len(jobs)):
                 return [execute_job(job) for job in jobs]
@@ -271,19 +294,23 @@ class ParallelRunner:
 
     # -- batched grid execution --------------------------------------------
 
-    def _execute_cells(self, cells: list[SimJob]) -> list[float]:
+    def _execute_cells(
+        self, cells: list[SimJob], topup: bool = False
+    ) -> list[float]:
         """Run ``cells`` through the batched engine, in order.
 
         Serial runners execute one inline pass; parallel runners cut the
         grid into contiguous slabs (~2 per worker: slabs are coarse on
         purpose, one IPC round trip and one shared-setup scope each) and
         ship whole slabs to pool workers, with the same crash-retry and
-        in-process fallback discipline as the per-job path.
+        in-process fallback discipline as the per-job path.  Every slab's
+        ledger is folded into :attr:`stats`; ``topup`` marks the cells as
+        adaptive top-ups there.
         """
         if self.jobs == 1 or len(cells) <= 2:
             with obs.span("exec.execute", dispatch="batch-inline",
                           cells=len(cells)):
-                return self._run_inline(cells)
+                return self._run_inline(cells, topup)
         slab_size = -(-len(cells) // (self.jobs * 2))
         slabs = [
             BatchJob(cells=tuple(cells[start:start + slab_size]))
@@ -297,12 +324,12 @@ class ParallelRunner:
                     "exec.execute", dispatch="batch-pool", cells=len(cells),
                     workers=self.jobs, slabs=len(slabs),
                 ):
-                    results: list[float] = []
-                    for slab_results in self._pool.map(
-                        execute_batch_job, slabs
-                    ):
-                        results.extend(slab_results)
-                    return results
+                    outcomes = list(self._pool.map(execute_batch_job, slabs))
+                results: list[float] = []
+                for slab_results, slab_stats in outcomes:
+                    results.extend(slab_results)
+                    self.stats.add_batch(slab_stats, topup)
+                return results
             except BrokenProcessPool:
                 self.stats.pool_failures += 1
                 self._discard_pool()
@@ -310,18 +337,14 @@ class ParallelRunner:
         self.stats.fallback_batches += 1
         with obs.span("exec.execute", dispatch="batch-fallback",
                       cells=len(cells)):
-            return self._run_inline(cells)
+            return self._run_inline(cells, topup)
 
-    def _run_inline(self, cells: list[SimJob]) -> list[float]:
+    def _run_inline(self, cells: list[SimJob], topup: bool) -> list[float]:
         """One in-process batched pass, folded into :attr:`stats`."""
-        from repro.sim.batch import BatchSimulator
-
-        simulator = BatchSimulator()
+        simulator = self._simulator
+        before = simulator.stats.copy()
         results = simulator.run(cells)
-        batch = simulator.stats
-        self.stats.columnar_cells += batch.columnar
-        self.stats.event_loop_cells += batch.event_loop
-        self.stats.fallbacks.update(batch.fallbacks)
+        self.stats.add_batch(simulator.stats.since(before), topup)
         return results
 
     def _run_batched(self, batch: list[SimJob]) -> None:
@@ -334,8 +357,6 @@ class ParallelRunner:
         still receives its own memo and cache entry, keeping warm-cache
         replay identical to the per-job path.
         """
-        from repro.sim.batch import dedupe_key
-
         self.stats.batches += 1
         with obs.span("exec.run", jobs=len(batch), mode="batch") as run_span:
             pending: list[tuple[SimJob, str]] = []

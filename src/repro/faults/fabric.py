@@ -5,8 +5,10 @@ pristine ``Fabric.transfer`` fast path stays untouched for fault-free
 simulations, which is what keeps the "faults disabled ≡ pre-fault
 pipeline" guarantee bit-exact.
 
-Determinism: the only randomness a plan introduces beyond its noise model
-is message loss, drawn from a PRNG seeded with ``(seed, plan.salt)``.
+Determinism: noise factors are keyed by message (:mod:`repro.sim.noise`),
+like on the plain fabric.  The only other randomness a plan introduces is
+message loss, drawn from one sequential PRNG seeded with
+``(seed, plan.salt)``.
 The simulation itself is single-threaded and schedules ties by sequence
 number, so the draw order — and therefore every timing — is a pure
 function of ``(cluster, plan, seed)``.
@@ -21,7 +23,14 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan, LinkFault
 from repro.sim.network import Fabric, TransferTiming
-from repro.sim.noise import NoNoise
+from repro.sim.noise import (
+    DRAIN,
+    HOP,
+    INJECT,
+    RTS,
+    SHM_COPY,
+    SHM_LATENCY,
+)
 
 #: Stream tag separating the loss PRNG from noise-model PRNGs.
 _LOSS_STREAM = 0xFA17
@@ -55,7 +64,6 @@ class FaultyFabric(Fabric):
             if link.src < n and link.dst < n:
                 links.setdefault((link.src, link.dst), []).append(link)
         self._links = {pair: tuple(faults) for pair, faults in links.items()}
-        self._no_noise = isinstance(self.noise, NoNoise)
         self.messages_lost = 0
         self._loss_rng = np.random.default_rng(
             (self.seed, self.plan.salt, _LOSS_STREAM)
@@ -75,8 +83,12 @@ class FaultyFabric(Fabric):
                 byte_factor *= fault.byte_factor
         return latency_factor, byte_factor
 
-    def _factor(self) -> float:
-        return 1.0 if self._no_noise else self.noise.factor()
+    def _factor(self, key: tuple[int, int] | None, term: int) -> float:
+        if self._unit_noise:
+            return 1.0
+        if key is None:
+            raise SimulationError("a noisy fabric needs each message's noise key")
+        return self.noise.draw(key[0], key[1], term)
 
     # -- transfers ---------------------------------------------------------
 
@@ -88,6 +100,7 @@ class FaultyFabric(Fabric):
         ready: float,
         src_port: int = 0,
         dst_port: int = 0,
+        key: tuple[int, int] | None = None,
     ) -> TransferTiming:
         if nbytes < 0:
             raise SimulationError(f"negative message size: {nbytes}")
@@ -96,18 +109,22 @@ class FaultyFabric(Fabric):
         p = self.params
         if src == dst:
             # Intra-node copies bypass the NIC and hence every network fault.
-            inject_end = ready + nbytes * p.shm_byte_time * self._factor()
-            deliver = inject_end + p.shm_latency * self._factor()
+            inject_end = ready + nbytes * p.shm_byte_time * self._factor(
+                key, SHM_COPY
+            )
+            deliver = inject_end + p.shm_latency * self._factor(key, SHM_LATENCY)
             return TransferTiming(ready, inject_end, deliver)
         latency_factor, byte_factor = self._link_factors(src, dst, ready)
         slowdown = self._slowdown(src) * self._inject.get(src, 1.0)
         byte_cost = nbytes * p.byte_time_out * byte_factor
-
-        def inject_cost() -> float:
-            return (p.per_message_overhead + byte_cost) * self._factor() * slowdown
-
+        # Every attempt of a lost-and-retried message re-injects the same
+        # payload: it pays the message's one keyed injection factor.
+        inject_cost = (
+            (p.per_message_overhead + byte_cost) * self._factor(key, INJECT)
+            * slowdown
+        )
         egress = self.hosts[src].egress[src_port]
-        inject_start, inject_end = egress.reserve(ready, inject_cost())
+        inject_start, inject_end = egress.reserve(ready, inject_cost)
         loss = self.plan.loss
         if loss is not None and loss.rate > 0.0:
             retries = 0
@@ -117,25 +134,37 @@ class FaultyFabric(Fabric):
                 retries += 1
                 self.messages_lost += 1
                 _, inject_end = egress.reserve(
-                    inject_end + loss.timeout, inject_cost()
+                    inject_end + loss.timeout, inject_cost
                 )
-        wire_latency = p.latency * latency_factor * self._factor()
+        hop_factor = self._factor(key, HOP)
+        wire_latency = p.latency * latency_factor * hop_factor
         if self._topo is None:
             arrive = inject_end + wire_latency
         else:
             arrive = self._topo.arrive(
-                src, dst, nbytes, inject_end, wire_latency, self._factor()
+                src, dst, nbytes, inject_end, wire_latency, hop_factor
             )
-        drain_cost = nbytes * p.byte_time_in * byte_factor * self._factor()
+        drain_cost = nbytes * p.byte_time_in * byte_factor * self._factor(
+            key, DRAIN
+        )
         _, deliver = self.hosts[dst].ingress[dst_port].reserve(arrive, drain_cost)
         return TransferTiming(inject_start, inject_end, deliver)
 
-    def control_transfer(self, src: int, dst: int, ready: float) -> float:
+    def control_transfer(
+        self,
+        src: int,
+        dst: int,
+        ready: float,
+        key: tuple[int, int] | None = None,
+        term: int = RTS,
+    ) -> float:
         p = self.params
         if src == dst:
-            return ready + p.shm_latency * self._factor()
+            return ready + p.shm_latency * self._factor(key, term)
         latency_factor, _ = self._link_factors(src, dst, ready)
-        deliver = ready + p.control_latency * latency_factor * self._factor()
+        deliver = ready + p.control_latency * latency_factor * self._factor(
+            key, term
+        )
         if self._topo is not None:
             deliver += self._topo.control_extra(src, dst)
         return deliver

@@ -7,8 +7,9 @@ repetitions are quiet while a few are catastrophic.  These models let the
 chaos benchmarks exercise exactly the regime the paper's Huber regression
 and adaptive repetition are meant to survive.
 
-All models are unit-mean (costs stay unbiased, only the spread changes),
-draw from a single seeded ``numpy`` PRNG, and satisfy the
+All models are unit-mean (costs stay unbiased, only the spread changes)
+and keyed like the base lognormal jitter: each draws its factors from
+per-``(seed, rank)`` ``numpy`` streams through the
 :class:`~repro.sim.noise.NoiseModel` interface, so they drop into
 :class:`~repro.sim.network.Fabric` unchanged.
 """
@@ -18,14 +19,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.faults.plan import HeavyTailSpec
-from repro.sim.noise import LognormalNoise, NoiseModel, NoNoise
+from repro.sim.noise import LognormalNoise, NoiseModel, NoNoise, StreamNoise
 
 #: Mixed into noise seeds so fault noise streams never collide with the
 #: base lognormal stream seeded with the raw measurement seed.
 _NOISE_STREAM = 0x9E3779B1
 
 
-class ParetoNoise(NoiseModel):
+class ParetoNoise(StreamNoise):
     """Unit-mean Pareto factors: power-law tail with shape ``tail_index``.
 
     The scale is ``(a - 1) / a`` so that ``E[factor] == 1``; factors are
@@ -37,23 +38,21 @@ class ParetoNoise(NoiseModel):
     def __init__(self, tail_index: float = 2.5, seed: int = 0):
         if tail_index <= 1.0:
             raise ValueError(f"tail_index must be > 1, got {tail_index}")
+        super().__init__(seed)
         self.tail_index = tail_index
-        self.seed = seed
         self._scale = (tail_index - 1.0) / tail_index
-        self._rng = np.random.default_rng((seed, _NOISE_STREAM, 1))
 
-    def factor(self) -> float:
-        return float(self._scale * (1.0 + self._rng.pareto(self.tail_index)))
+    def _entropy(self, rank: int) -> tuple[int, ...]:
+        return (self.seed, _NOISE_STREAM, 1, rank)
 
-    def reseed(self, seed: int) -> None:
-        self.seed = seed
-        self._rng = np.random.default_rng((seed, _NOISE_STREAM, 1))
+    def _block(self, rng: np.random.Generator, size: int) -> list[float]:
+        return (self._scale * (1.0 + rng.pareto(self.tail_index, size))).tolist()
 
     def __repr__(self) -> str:
         return f"ParetoNoise(tail_index={self.tail_index}, seed={self.seed})"
 
 
-class MixtureNoise(NoiseModel):
+class MixtureNoise(StreamNoise):
     """Lognormal base with rare Pareto spikes (unit mean overall).
 
     With probability ``1 - p`` a factor is a unit-mean lognormal draw; with
@@ -78,29 +77,28 @@ class MixtureNoise(NoiseModel):
             raise ValueError(f"spike_scale must be >= 1, got {spike_scale}")
         if tail_index <= 1.0:
             raise ValueError(f"tail_index must be > 1, got {tail_index}")
+        super().__init__(seed)
         self.sigma = sigma
         self.spike_probability = spike_probability
         self.spike_scale = spike_scale
         self.tail_index = tail_index
-        self.seed = seed
         self._mu = -0.5 * sigma * sigma
         self._pareto_scale = (tail_index - 1.0) / tail_index
         self._norm = 1.0 / (1.0 - spike_probability + spike_probability * spike_scale)
-        self._rng = np.random.default_rng((seed, _NOISE_STREAM, 2))
 
-    def factor(self) -> float:
-        rng = self._rng
-        base = float(np.exp(self._mu + self.sigma * rng.standard_normal()))
-        if rng.random() < self.spike_probability:
-            spike = self.spike_scale * self._pareto_scale * (
-                1.0 + float(rng.pareto(self.tail_index))
-            )
-            base *= spike
-        return base * self._norm
+    def _entropy(self, rank: int) -> tuple[int, ...]:
+        return (self.seed, _NOISE_STREAM, 2, rank)
 
-    def reseed(self, seed: int) -> None:
-        self.seed = seed
-        self._rng = np.random.default_rng((seed, _NOISE_STREAM, 2))
+    def _block(self, rng: np.random.Generator, size: int) -> list[float]:
+        # One block draws its normals, spike coins and spike sizes in that
+        # order; the block schedule is fixed, so each index stays keyed.
+        base = np.exp(self._mu + self.sigma * rng.standard_normal(size))
+        coins = rng.random(size)
+        spikes = self.spike_scale * self._pareto_scale * (
+            1.0 + rng.pareto(self.tail_index, size)
+        )
+        base = np.where(coins < self.spike_probability, base * spikes, base)
+        return (base * self._norm).tolist()
 
     def __repr__(self) -> str:
         return (
@@ -114,7 +112,7 @@ class CompositeNoise(NoiseModel):
     """Product of independent component factors.
 
     Used when a fault plan adds heavy-tailed noise *on top of* a cluster's
-    configured lognormal jitter: each cost draws one factor from every
+    configured lognormal jitter: each cost reads its key from every
     component, and the factors multiply.  The composite mean is the product
     of component means (1 when every component is unit-mean).
     """
@@ -124,13 +122,14 @@ class CompositeNoise(NoiseModel):
             raise ValueError("CompositeNoise needs at least one component")
         self.components = tuple(components)
 
-    def factor(self) -> float:
+    def draw(self, rank: int, seq: int, term: int) -> float:
         value = 1.0
         for component in self.components:
-            value *= component.factor()
+            value *= component.draw(rank, seq, term)
         return value
 
     def reseed(self, seed: int) -> None:
+        self._cursor = 0
         for index, component in enumerate(self.components):
             component.reseed(seed + 1_000_003 * (index + 1))
 

@@ -36,6 +36,7 @@ from repro.mpi.matching import (
 from repro.mpi.requests import Request, Status
 from repro.sim.engine import Future, Process, SimGen, Simulator
 from repro.sim.network import Fabric
+from repro.sim.noise import CTS, RTS
 from repro.sim.trace import NULL_TRACER, Tracer
 
 #: Type of a rank program: ``def body(comm): yield ...``.
@@ -93,6 +94,10 @@ class MpiWorld:
         self.tracer = tracer
         self.size = len(rank_to_node)
         self.engines = [MatchingEngine() for _ in range(self.size)]
+        #: Per-rank count of posted sends: the sequence half of each
+        #: message's noise key.  ``None`` on unit-noise fabrics, whose
+        #: transfers draw no factors.
+        self._send_seq = None if fabric._unit_noise else [0] * self.size
         self._next_cid = 0
         self._world_group = tuple(range(self.size))
 
@@ -174,6 +179,15 @@ class MpiWorld:
         send_status = Status(source=dst_local, tag=tag, nbytes=nbytes)
         tracer = self.tracer
         tracer.record(sim.now, "send_post", src_world, dst_world, tag, nbytes)
+        # The noise key is fixed here, at post time and in the sender's
+        # program order: a rendezvous payload only moves at CTS arrival,
+        # whose order across ranks is itself noisy.
+        seqs = self._send_seq
+        if seqs is None:
+            key = None
+        else:
+            key = (src_world, seqs[src_world])
+            seqs[src_world] += 1
 
         def complete_send() -> None:
             tracer.record(sim.now, "send_complete", src_world, dst_world, tag, nbytes)
@@ -181,7 +195,7 @@ class MpiWorld:
 
         if nbytes <= fabric.params.eager_limit:
             timing = fabric.transfer(
-                src_node, dst_node, nbytes, sim.now, src_port, dst_port
+                src_node, dst_node, nbytes, sim.now, src_port, dst_port, key
             )
             sim._schedule_at(timing.inject_end, complete_send)
             envelope = Envelope(cid, src_local, tag, nbytes, timing.deliver)
@@ -190,13 +204,17 @@ class MpiWorld:
             )
             return
 
-        # Rendezvous: RTS -> match -> CTS -> payload.
+        # Rendezvous: RTS -> match -> CTS -> payload.  The notice's grant
+        # carries the message key to the CTS and the payload.
         def grant(match_time: float, recv_done: Callable[[float], None]) -> None:
-            cts_at_sender = fabric.control_transfer(dst_node, src_node, match_time)
+            cts_at_sender = fabric.control_transfer(
+                dst_node, src_node, match_time, key, CTS
+            )
 
             def start_payload() -> None:
                 timing = fabric.transfer(
-                    src_node, dst_node, nbytes, sim.now, src_port, dst_port
+                    src_node, dst_node, nbytes, sim.now, src_port, dst_port,
+                    key,
                 )
                 sim._schedule_at(timing.inject_end, complete_send)
                 recv_done(timing.deliver)
@@ -204,7 +222,9 @@ class MpiWorld:
             sim._schedule_at(cts_at_sender, start_payload)
 
         notice = RtsNotice(cid, src_local, tag, nbytes, grant)
-        rts_arrival = fabric.control_transfer(src_node, dst_node, sim.now)
+        rts_arrival = fabric.control_transfer(
+            src_node, dst_node, sim.now, key, RTS
+        )
         sim._schedule_at(rts_arrival, lambda: engine.arrive(notice, rts_arrival))
 
     def _post_recv(

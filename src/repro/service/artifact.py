@@ -127,8 +127,9 @@ class SelectionArtifact:
     #: built before this field existed keep their hashes bit-for-bit.
     quality: dict = field(default_factory=dict, compare=False)
     #: How the artifact was built: the batch flag and the simulation
-    #: ledger (cells the batched engine ran columnar / on the event loop,
-    #: and why each fallback happened).  Like ``quality``, deliberately
+    #: ledger (simulations run, cells the batched engine ran columnar / on
+    #: the event loop with the adaptive top-ups broken out, and why each
+    #: fallback happened).  Like ``quality``, deliberately
     #: outside the hashed payload: the batched engine is bit-identical to
     #: the serial one, so the execution mode describes the build process,
     #: never the decisions.
@@ -449,6 +450,31 @@ def stamp_guidelines(
     return replace(artifact, guidelines=report.as_dict())
 
 
+def _ledger_delta(before: dict, after: dict) -> dict:
+    """The simulation ledger one build added to its runner's counters.
+
+    ``simulations`` counts every simulation the build ran; the cells split
+    into columnar and event-loop ones, with the adaptive top-ups (runner
+    misses after the prefetches) broken out under ``topups``.
+    """
+
+    def added(key: str) -> int:
+        return after[key] - before[key]
+
+    return {
+        "simulations": added("simulations"),
+        "columnar_cells": added("columnar_cells"),
+        "event_loop_cells": added("event_loop_cells"),
+        "topups": {
+            "columnar_cells": added("topup_columnar_cells"),
+            "event_loop_cells": added("topup_event_loop_cells"),
+        },
+        "fallbacks": dict(sorted(
+            (Counter(after["fallbacks"]) - Counter(before["fallbacks"])).items()
+        )),
+    }
+
+
 def build_artifact(
     spec: ClusterSpec,
     *,
@@ -505,8 +531,7 @@ def build_artifact(
     if batch is not None:
         runner.batch = bool(batch)
     stats = runner.stats
-    cells_before = (stats.columnar_cells, stats.event_loop_cells)
-    fallbacks_before = Counter(stats.fallbacks)
+    ledger_before = stats.as_dict()
     grid_procs = (
         tuple(proc_points) if proc_points else default_proc_points(spec)
     )
@@ -585,17 +610,9 @@ def build_artifact(
                 build_info={
                     "batch": runner.batch,
                     # What this build added to the runner's ledger.
-                    "simulation": {
-                        "columnar_cells": (
-                            stats.columnar_cells - cells_before[0]
-                        ),
-                        "event_loop_cells": (
-                            stats.event_loop_cells - cells_before[1]
-                        ),
-                        "fallbacks": dict(sorted(
-                            (stats.fallbacks - fallbacks_before).items()
-                        )),
-                    },
+                    "simulation": _ledger_delta(
+                        ledger_before, stats.as_dict()
+                    ),
                 },
             )
             build_span.set_attr("artifact_id", artifact.artifact_id)

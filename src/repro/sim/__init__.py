@@ -8,15 +8,15 @@ paper.  It provides:
 * :mod:`repro.sim.network` — the cluster fabric model: per-host NIC egress and
   ingress serialisation, per-message overheads, wire/switch latency, and an
   eager/rendezvous point-to-point protocol switch;
-* :mod:`repro.sim.noise` — seeded stochastic perturbation of network costs so
-  that the statistical estimation machinery (confidence-interval driven
-  repetition) is exercised meaningfully;
+* :mod:`repro.sim.noise` — seeded stochastic perturbation of network costs,
+  keyed by message, so that the statistical estimation machinery
+  (confidence-interval driven repetition) is exercised meaningfully;
 * :mod:`repro.sim.trace` — optional structured event tracing.
 """
 
 from repro.sim.engine import Future, Process, Simulator
 from repro.sim.network import Fabric, NetworkParams, TransferTiming
-from repro.sim.noise import LognormalNoise, NoiseModel, NoNoise
+from repro.sim.noise import LognormalNoise, NoiseModel, NoNoise, make_noise
 
 __all__ = [
     "Fabric",
@@ -28,4 +28,5 @@ __all__ = [
     "Process",
     "Simulator",
     "TransferTiming",
+    "make_noise",
 ]

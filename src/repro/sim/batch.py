@@ -21,17 +21,20 @@ one call and removes that overhead where it provably can:
   — the rack/pod uplink clocks of :mod:`repro.fabric`: one heap entry per
   message instead of futures, matching queues and several engine events.
   Topology construction and placement are hoisted out of the per-cell
-  loop and shared across message sizes (:class:`_Grid`).
+  loop and shared across message sizes (:class:`_Grid`).  Noisy cells
+  take this path too: every noise factor is keyed by its message
+  (:mod:`repro.sim.noise`), so the kernels read exactly the factors the
+  event loop's fabric reads for the same message.
 
 * **Event-loop fallback.**  Anything the kernels cannot reproduce
-  *bit-for-bit* — noise or fault models, degraded nodes, shared NIC ports,
+  *bit-for-bit* — fault plans, degraded nodes, shared NIC ports,
   unsupported algorithms (split-binary, scatter-allgather, barriers), or a
   detected unsafe tie — falls back to :func:`repro.exec.job.execute_job`
   for that cell, and :attr:`BatchStats.fallbacks` records why.  The batch
   layer is therefore always exact: the fast path is taken only where
   equality with the event loop is guaranteed, and parity tests
   (``tests/test_sim_batch.py``) assert bit-identical results over the full
-  calibration grid, flat and on every fabric shape.
+  calibration grid, flat and on every fabric shape, noisy and noise-free.
 
 Exactness argument (why plain arithmetic can match an event loop):
 
@@ -49,19 +52,24 @@ Exactness argument (why plain arithmetic can match an event loop):
    when its awaited deliveries are known; it can only issue calls later
    than the call that woke it, so nothing is ever reserved out of order.
 3. Where two calls carry the same timestamp the event loop's ordering is
-   an implementation detail of its heap; the kernels admit the tie only
-   when it is provably permutation-invariant — tied calls contending for a
-   shared ingress NIC or link must be indistinguishable (same destination
-   and ``waitall``, size, injection end and source rack), and tied
-   rendezvous calls of one fan-out, which share the sender's egress, must
-   reach interchangeable targets inside one ``waitall`` — or refuse and
-   fall back.
+   an implementation detail of its heap.  Calls at ``t = send_overhead``
+   are ranks' first eager sends, which the engine makes in rank order, so
+   the kernels pop them in sender-rank order.  Any other tie is admitted
+   only when it is provably permutation-invariant — tied calls contending
+   for a shared ingress NIC or link must be indistinguishable (same
+   destination and ``waitall``, size, injection end and source rack, and
+   no noise), and tied rendezvous calls of one fan-out, which share the
+   sender's egress, must reach interchangeable targets inside one
+   ``waitall`` — or refuse and fall back.
+4. Noise factors are keyed by ``(sender rank, message number, cost
+   term)``; a message's number is fixed where its rank's program posts the
+   send, which the kernels mirror in program order (:meth:`_Cell.post_send`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 
 from repro import obs
@@ -69,6 +77,17 @@ from repro.clusters.spec import ClusterSpec
 from repro.collectives.reduce import DEFAULT_OP_BYTE_TIME
 from repro.mpi.segmentation import plan_segments
 from repro.sim.network import _TopologyState
+from repro.sim.noise import (
+    CTS,
+    DRAIN,
+    HOP,
+    INJECT,
+    RTS,
+    SHM_COPY,
+    SHM_LATENCY,
+    NoNoise,
+    make_noise,
+)
 from repro.topology import (
     build_binary_tree,
     build_binomial_tree,
@@ -137,6 +156,21 @@ class BatchStats:
     #: Event-loop fallbacks by reason (the kernels' refusal message).
     fallbacks: Counter = field(default_factory=Counter)
 
+    _COUNTS = (
+        "cells", "unique_cells", "columnar", "event_loop", "deduped",
+        "shared_setup_hits",
+    )
+
+    def copy(self) -> "BatchStats":
+        return replace(self, fallbacks=Counter(self.fallbacks))
+
+    def since(self, before: "BatchStats") -> "BatchStats":
+        """The counts added after ``before`` (an earlier :meth:`copy`)."""
+        delta = BatchStats(fallbacks=self.fallbacks - before.fallbacks)
+        for name in self._COUNTS:
+            setattr(delta, name, getattr(self, name) - getattr(before, name))
+        return delta
+
     def as_dict(self) -> dict:
         return {
             "cells": self.cells,
@@ -161,12 +195,12 @@ class _Grid:
     __slots__ = (
         "procs", "node", "latency", "bto", "bti", "pmo", "so", "ro",
         "eager", "cl", "slat", "sbt", "fabric", "num_nodes", "group_of",
-        "trees",
+        "trees", "sigma",
     )
 
     def __init__(self, spec: ClusterSpec, procs: int, mapping: str):
-        if not noise_free(spec):
-            raise _Unsupported("noisy or faulty spec")
+        if spec.faults is not None and spec.faults.enabled():
+            raise _Unsupported("faulty spec")
         if spec.slow_nodes:
             raise _Unsupported("degraded nodes")
         net = spec.network
@@ -198,6 +232,8 @@ class _Grid:
         self.cl = net.control_latency
         self.slat = net.shm_latency
         self.sbt = net.shm_byte_time
+        #: Lognormal jitter of the fabric; each cell keys it by its seed.
+        self.sigma = spec.noise_sigma
         # The fabric the world is built on: ``None`` when flat, exactly as
         # ``ClusterSpec.make_world`` decides.
         fabric = spec.fabric
@@ -231,16 +267,26 @@ class _Cell:
     order, reserving fabric links (``topo``, the event loop's own
     :class:`~repro.sim.network._TopologyState`) and ingress NICs (``ig``)
     and waking the receivers.
+
+    On a noisy grid every cost is scaled by the factor the event loop's
+    fabric reads for the same message key (:mod:`repro.sim.noise`): the
+    sender's rank, its per-rank post count (``seqs``) and the cost term.
+    ``draw`` is ``None`` on noise-free grids, whose arithmetic then skips
+    the factors (every one of them is exactly 1).
     """
 
     __slots__ = (
         "g", "topo", "eg", "ig", "eg_call", "heap", "mail", "waiting",
-        "post", "programs", "trailer", "trailing", "finish",
+        "post", "programs", "trailer", "trailing", "finish", "draw", "seqs",
     )
 
-    def __init__(self, grid: _Grid):
+    def __init__(self, grid: _Grid, seed: int):
         self.g = grid
         procs = grid.procs
+        noise = make_noise(grid.sigma, seed)
+        self.draw = None if isinstance(noise, NoNoise) else noise.draw
+        #: Sends each rank has posted: the next message's sequence number.
+        self.seqs = [0] * procs
         self.topo = (
             None if grid.fabric is None
             else _TopologyState(grid.fabric, grid.num_nodes)
@@ -248,7 +294,8 @@ class _Cell:
         self.eg = [0.0] * procs
         self.ig = [0.0] * procs
         self.eg_call = [0.0] * procs
-        #: Pending transfers ``(call_t, dst, tag, src, nbytes, inject_end)``.
+        #: Pending transfers ``(call_t, src, dst, tag, nbytes, inject_end,
+        #: seq)``: tied calls pop in sender rank order (see :meth:`_check_tie`).
         self.heap: list = []
         #: Per-rank ``{tag: [deliveries, latest deliver]}`` of messages that
         #: arrived before their wait (or in a group still incomplete).
@@ -265,41 +312,75 @@ class _Cell:
 
     # -- primitive transfers ------------------------------------------------
 
-    def control(self, src: int, dst: int, t: float) -> float:
-        """Delivery time of an RTS/CTS control message sent at ``t``."""
+    def post_send(self, rank: int) -> int:
+        """Post a send from ``rank``; returns the message's sequence number.
+
+        Called where the rank's program posts the send (after its
+        ``send_overhead``), so numbers follow program order exactly as
+        :meth:`repro.mpi.communicator.MpiWorld._start_send` assigns them.
+        """
+        seq = self.seqs[rank]
+        self.seqs[rank] = seq + 1
+        return seq
+
+    def control(
+        self, src: int, dst: int, t: float, sender: int, seq: int, term: int
+    ) -> float:
+        """Delivery time of an RTS/CTS control message sent at ``t``.
+
+        ``(sender, seq)`` keys the payload message the handshake belongs
+        to; ``term`` is :data:`~repro.sim.noise.RTS` or ``CTS``.
+        """
         g = self.g
+        draw = self.draw
+        factor = 1.0 if draw is None else draw(sender, seq, term)
         src_node, dst_node = g.node[src], g.node[dst]
         if src_node == dst_node:
-            return t + g.slat
-        t = t + g.cl
+            return t + g.slat * factor
+        t = t + g.cl * factor
         if self.topo is not None:
             t += self.topo.control_extra(src_node, dst_node)
         return t
 
     def send(
-        self, src: int, dst: int, nbytes: int, call_t: float, tag: int
+        self, src: int, dst: int, nbytes: int, call_t: float, tag: int,
+        seq: int | None = None,
     ) -> float:
         """Start a transfer called at ``call_t``; returns its inject end.
 
-        The egress reservation happens now (the rank's own NIC, in its
-        program order); delivery into ``dst``'s ``tag`` mailbox is queued
-        for :meth:`run`, which completes transfers in call order.  Every
-        call is later than the call being completed when it is issued: a
-        rank only runs after a delivery, and charges ``send_overhead``
-        (checked positive by :class:`_Grid`) before its next call.
+        ``seq`` is the number :meth:`post_send` gave a rendezvous message
+        when it was posted; an eager send is posted at its call, so it
+        leaves ``seq`` out and is numbered here.  The egress reservation
+        happens now (the rank's own NIC, in its program order); delivery
+        into ``dst``'s ``tag`` mailbox is queued for :meth:`run`, which
+        completes transfers in call order.  Every call is later than the
+        call being completed when it is issued: a rank only runs after a
+        delivery, and charges ``send_overhead`` (checked positive by
+        :class:`_Grid`) before its next call.
         """
         g = self.g
+        draw = self.draw
+        if seq is None:
+            # Inlined :meth:`post_send`: eager sends are the hot path.
+            seqs = self.seqs
+            seq = seqs[src]
+            seqs[src] = seq + 1
         if g.node[src] == g.node[dst]:
-            inject_end = call_t + nbytes * g.sbt
+            copy = nbytes * g.sbt
+            if draw is not None:
+                copy = copy * draw(src, seq, SHM_COPY)
+            inject_end = call_t + copy
         else:
             if call_t < self.eg_call[src]:
                 raise _Unsupported("egress call order violated")
             self.eg_call[src] = call_t
             cost = g.pmo + nbytes * g.bto
+            if draw is not None:
+                cost = cost * draw(src, seq, INJECT)
             free = self.eg[src]
             inject_end = (call_t if call_t > free else free) + cost
             self.eg[src] = inject_end
-        heappush(self.heap, (call_t, dst, tag, src, nbytes, inject_end))
+        heappush(self.heap, (call_t, src, dst, tag, nbytes, inject_end, seq))
         return inject_end
 
     def fan_out(
@@ -330,6 +411,7 @@ class _Cell:
         permutation-invariant, so root-timed and max-over-ranks results are
         unchanged.  Tree fan-outs pass ``False`` (children have distinct
         subtrees) and rely on strictly increasing call times instead.
+        Noisy transfers never end alike, so noisy cells refuse every tie.
         """
         g = self.g
         send = self.send
@@ -343,26 +425,28 @@ class _Cell:
                 if end > last:
                     last = end
             return last if last > clock else clock
-        pending: list[tuple[float, int]] = []
+        pending: list[tuple[float, int, int]] = []
         for dst in targets:
             clock = clock + g.so
+            seq = self.post_send(src)
             # Rendezvous: RTS out now; payload moves at CTS arrival.
-            rts = self.control(src, dst, clock)
+            rts = self.control(src, dst, clock, src, seq, RTS)
             post = post_of(dst)
             match = rts if rts > post else post
-            cts = self.control(dst, src, match)
+            cts = self.control(dst, src, match, src, seq, CTS)
             if g.node[src] == g.node[dst]:
-                end = send(src, dst, nbytes, cts, tag)
+                end = send(src, dst, nbytes, cts, tag, seq)
                 if end > last:
                     last = end
             else:
-                pending.append((cts, dst))
+                pending.append((cts, dst, seq))
         pending.sort(key=lambda e: e[0])
-        for (a, x), (b, y) in zip(pending, pending[1:]):
+        ties_ok = ties_ok and self.draw is None
+        for (a, x, _), (b, y, _) in zip(pending, pending[1:]):
             if a == b and not (ties_ok and self._interchangeable(x, y)):
                 raise _Unsupported("tied rendezvous fan-out")
-        for cts, dst in pending:
-            end = send(src, dst, nbytes, cts, tag)
+        for cts, dst, seq in pending:
+            end = send(src, dst, nbytes, cts, tag, seq)
             if end > last:
                 last = end
         return last if last > clock else clock
@@ -410,36 +494,52 @@ class _Cell:
             value = got[1]
 
     def _check_tie(self, tied: list, entry: tuple) -> None:
-        """Refuse a tied call unless every order yields the same result.
+        """Refuse a tied call unless the engine's order is known or moot.
 
-        Two calls at one timestamp that contend for a NIC or link are
-        admitted only when indistinguishable: same destination and tag
-        (one ``waitall``), size, inject end and source rack — then swapping
-        them relabels identical outcomes and the awaited max is unchanged.
+        *Start-up calls* are ordered exactly: every transfer called at
+        ``t == send_overhead`` is some rank's first, eager ``isend``, made
+        when the timeout its process scheduled on starting fires.  The
+        engine starts processes in rank order and fires same-time events in
+        scheduling order, so it makes these calls in rank order — the
+        heap's ``(call_t, src)`` order.  (A rendezvous payload moves at CTS
+        arrival, strictly later, and every other call follows a delivery.)
+
+        Any other two calls at one timestamp that contend for a NIC or link
+        are admitted only when indistinguishable: same destination and tag
+        (one ``waitall``), size, inject end and source rack on a noise-free
+        grid — then swapping them relabels identical outcomes and the
+        awaited max is unchanged.  Noisy transfers differ in their hop and
+        drain factors, so a noisy grid refuses such ties.
         """
-        node = self.g.node
+        g = self.g
+        if entry[0] == g.so and entry[4] <= g.eager and all(
+            other[4] <= g.eager for other in tied
+        ):
+            return
+        node = g.node
         topo = self.topo
-        _t, dst, tag, src, nbytes, inject_end = entry
+        _t, src, dst, tag, nbytes, inject_end, _seq = entry
         for other in tied:
             if topo is None:
-                if other[1] != dst:
+                if other[2] != dst:
                     continue
                 same_path = True
             else:
                 rack = topo.rack_of
                 a_src, a_dst = rack[node[src]], rack[node[dst]]
-                b_src, b_dst = rack[node[other[3]]], rack[node[other[1]]]
-                if other[1] != dst and not _links_shared(
+                b_src, b_dst = rack[node[other[1]]], rack[node[other[2]]]
+                if other[2] != dst and not _links_shared(
                     topo, a_src, a_dst, b_src, b_dst
                 ):
                     continue
                 same_path = a_src == b_src
             if not (
-                same_path and other[1] == dst and other[2] == tag
-                and other[4] == nbytes and other[5] == inject_end
+                self.draw is None and same_path and other[2] == dst
+                and other[3] == tag and other[4] == nbytes
+                and other[5] == inject_end
             ):
                 raise _Unsupported(
-                    "unsafe ingress tie" if other[1] == dst
+                    "unsafe ingress tie" if other[2] == dst
                     else "unsafe link tie"
                 )
 
@@ -467,16 +567,19 @@ class _Cell:
         for rank in range(procs):
             resume(rank, None)
         heap, node, topo, ig = self.heap, g.node, self.topo, self.ig
-        mail, waiting = self.mail, self.waiting
+        mail, waiting, draw = self.mail, self.waiting, self.draw
         latency, bti, slat = g.latency, g.bti, g.slat
         tie_t = -1.0
         tied: list = []
         while heap:
             entry = heappop(heap)
-            call_t, dst, tag, src, nbytes, inject_end = entry
+            call_t, src, dst, tag, nbytes, inject_end, seq = entry
             src_node, dst_node = node[src], node[dst]
             if src_node == dst_node:
-                deliver = inject_end + slat
+                if draw is None:
+                    deliver = inject_end + slat
+                else:
+                    deliver = inject_end + slat * draw(src, seq, SHM_LATENCY)
             else:
                 if call_t == tie_t:
                     self._check_tie(tied, entry)
@@ -484,14 +587,21 @@ class _Cell:
                 else:
                     tie_t = call_t
                     tied = [entry]
+                if draw is None:
+                    hop = 1.0
+                    drain = nbytes * bti
+                else:
+                    hop = draw(src, seq, HOP)
+                    drain = nbytes * bti * draw(src, seq, DRAIN)
                 if topo is None:
-                    arrive = inject_end + latency
+                    arrive = inject_end + latency * hop
                 else:
                     arrive = topo.arrive(
-                        src_node, dst_node, nbytes, inject_end, latency, 1.0
+                        src_node, dst_node, nbytes, inject_end, latency * hop,
+                        hop,
                     )
                 free = ig[dst]
-                deliver = (arrive if arrive > free else free) + nbytes * bti
+                deliver = (arrive if arrive > free else free) + drain
                 ig[dst] = deliver
             want = waiting[dst]
             if want is not None and want[0] == tag and want[1] == 1:
@@ -601,12 +711,13 @@ def _reduce_linear(cell: _Cell, rank: int, root: int, nbytes: int):
         return clock
     clock = 0.0 + g.so
     if nbytes <= g.eager:
-        call_t = clock
+        call_t, seq = clock, None
     else:
         # The root posts every receive at time zero, before any RTS.
-        rts = cell.control(rank, root, clock)
-        call_t = cell.control(root, rank, rts)
-    inject_end = cell.send(rank, root, nbytes, call_t, 0)
+        seq = cell.post_send(rank)
+        rts = cell.control(rank, root, clock, rank, seq, RTS)
+        call_t = cell.control(root, rank, rts, rank, seq, CTS)
+    inject_end = cell.send(rank, root, nbytes, call_t, 0, seq)
     return clock if inject_end < clock else inject_end
 
 
@@ -634,11 +745,12 @@ def _reduce_tree(cell: _Cell, rank: int, tree, sizes: list[int]):
             if rendezvous:
                 # Single segment only (guarded): the parent posts all its
                 # receives at its local time zero.
-                rts = cell.control(rank, parent, clock)
-                call_t = cell.control(parent, rank, rts)
+                seq = cell.post_send(rank)
+                rts = cell.control(rank, parent, clock, rank, seq, RTS)
+                call_t = cell.control(parent, rank, rts, rank, seq, CTS)
             else:
-                call_t = clock
-            inject_end = cell.send(rank, parent, size, call_t, index)
+                call_t, seq = clock, None
+            inject_end = cell.send(rank, parent, size, call_t, index, seq)
             if inject_end > clock:
                 clock = inject_end
     return clock
@@ -658,15 +770,16 @@ def _gather_linear(cell: _Cell, rank: int, root: int, nbytes: int, clock):
         return done if done > clock else clock
     clock = clock + g.so
     if eager:
-        call_t = clock
+        call_t, seq = clock, None
     else:
         root_post = cell.post[root]
         if root_post is None:
             raise _Unsupported("gather root post unknown")
-        rts = cell.control(rank, root, clock)
+        seq = cell.post_send(rank)
+        rts = cell.control(rank, root, clock, rank, seq, RTS)
         match = rts if rts > root_post else root_post
-        call_t = cell.control(root, rank, match)
-    inject_end = cell.send(rank, root, nbytes, call_t, _GATHER_TAG)
+        call_t = cell.control(root, rank, match, rank, seq, CTS)
+    inject_end = cell.send(rank, root, nbytes, call_t, _GATHER_TAG, seq)
     return clock if inject_end < clock else inject_end
 
 
@@ -806,7 +919,7 @@ class BatchSimulator:
         if grid.procs == 1 or (first is None and last is None):
             finish = [0.0] * grid.procs
         else:
-            finish = _Cell(grid).run(first, last)
+            finish = _Cell(grid, job.seed).run(first, last)
         # The composite experiments hardcode root timing in ``measure``
         # (their programs end on the root); ``job.policy`` only reaches the
         # simple-collective measurements.
@@ -828,6 +941,7 @@ class BatchSimulator:
         from repro.exec.job import execute_job
 
         jobs = list(jobs)
+        before = self.stats.copy()
         stats = self.stats
         with obs.span("sim.batch", cells=len(jobs)) as span:
             groups: dict[str, list[int]] = {}
@@ -849,11 +963,13 @@ class BatchSimulator:
                     stats.columnar += 1
                 for index in indices:
                     results[index] = value
-            span.set_attrs(
-                unique_cells=stats.unique_cells,
-                columnar=stats.columnar,
-                event_loop=stats.event_loop,
-                shared_setup_hits=stats.shared_setup_hits,
-                fallbacks=dict(sorted(stats.fallbacks.items())),
-            )
+            if obs.is_enabled():
+                added = stats.since(before)
+                span.set_attrs(
+                    unique_cells=added.unique_cells,
+                    columnar=added.columnar,
+                    event_loop=added.event_loop,
+                    shared_setup_hits=added.shared_setup_hits,
+                    fallbacks=dict(sorted(added.fallbacks.items())),
+                )
         return results

@@ -29,7 +29,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.sim.noise import LognormalNoise, NoNoise, NoiseModel
+from repro.sim.noise import (
+    DRAIN,
+    HOP,
+    INJECT,
+    RTS,
+    SHM_COPY,
+    SHM_LATENCY,
+    LognormalNoise,
+    NoiseModel,
+    NoNoise,
+)
 
 
 @dataclass(frozen=True)
@@ -353,12 +363,15 @@ class Fabric:
         ready: float,
         src_port: int = 0,
         dst_port: int = 0,
+        key: tuple[int, int] | None = None,
     ) -> TransferTiming:
         """Timing of moving ``nbytes`` from node ``src`` to node ``dst``.
 
         ``ready`` is the earliest time the payload can start moving (after
         the sender's CPU overhead, and after CTS for rendezvous sends).
         ``src_port``/``dst_port`` select the NIC port on multi-port hosts.
+        ``key`` is the message's ``(sender world rank, sequence number)``
+        noise key (:mod:`repro.sim.noise`); unit-noise fabrics ignore it.
         """
         if nbytes < 0:
             raise SimulationError(f"negative message size: {nbytes}")
@@ -389,38 +402,52 @@ class Fabric:
                 arrive, nbytes * p.byte_time_in
             )
             return TransferTiming(inject_start, inject_end, deliver)
+        if key is None:
+            raise SimulationError("a noisy fabric needs each message's noise key")
+        rank, seq = key
+        draw = self.noise.draw
         if src == dst:
             # Intra-node: one memory copy by the sender, no NIC involvement.
-            copy = nbytes * p.shm_byte_time * self.noise.factor()
+            copy = nbytes * p.shm_byte_time * draw(rank, seq, SHM_COPY)
             inject_end = ready + copy
-            deliver = inject_end + p.shm_latency * self.noise.factor()
+            deliver = inject_end + p.shm_latency * draw(rank, seq, SHM_LATENCY)
             return TransferTiming(ready, inject_end, deliver)
         src_host = self.hosts[src]
         dst_host = self.hosts[dst]
         inject_cost = (
             (p.per_message_overhead + nbytes * p.byte_time_out)
-            * self.noise.factor()
+            * draw(rank, seq, INJECT)
             * self._slowdown(src)
         )
         inject_start, inject_end = src_host.egress[src_port].reserve(
             ready, inject_cost
         )
+        hop_factor = draw(rank, seq, HOP)
         if self._topo is None:
-            arrive = inject_end + p.latency * self.noise.factor()
+            arrive = inject_end + p.latency * hop_factor
         else:
-            hop_factor = self.noise.factor()
             arrive = self._topo.arrive(
                 src, dst, nbytes, inject_end, p.latency * hop_factor, hop_factor
             )
-        drain_cost = nbytes * p.byte_time_in * self.noise.factor()
+        drain_cost = nbytes * p.byte_time_in * draw(rank, seq, DRAIN)
         _, deliver = dst_host.ingress[dst_port].reserve(arrive, drain_cost)
         return TransferTiming(inject_start, inject_end, deliver)
 
-    def control_transfer(self, src: int, dst: int, ready: float) -> float:
+    def control_transfer(
+        self,
+        src: int,
+        dst: int,
+        ready: float,
+        key: tuple[int, int] | None = None,
+        term: int = RTS,
+    ) -> float:
         """Delivery time of a tiny control message (rendezvous RTS/CTS).
 
         Control messages ride a fast path: they pay only control latency (no
-        NIC byte serialisation), or a shared-memory hop intra-node.
+        NIC byte serialisation), or a shared-memory hop intra-node.  ``key``
+        is the payload message's noise key and ``term`` says which of its
+        handshake legs this is (:data:`~repro.sim.noise.RTS` or
+        :data:`~repro.sim.noise.CTS`).
         """
         p = self.params
         if self._unit_noise:
@@ -430,9 +457,12 @@ class Fabric:
             if self._topo is not None:
                 deliver += self._topo.control_extra(src, dst)
             return deliver
+        if key is None:
+            raise SimulationError("a noisy fabric needs each message's noise key")
+        factor = self.noise.draw(key[0], key[1], term)
         if src == dst:
-            return ready + p.shm_latency * self.noise.factor()
-        deliver = ready + p.control_latency * self.noise.factor()
+            return ready + p.shm_latency * factor
+        deliver = ready + p.control_latency * factor
         if self._topo is not None:
             deliver += self._topo.control_extra(src, dst)
         return deliver

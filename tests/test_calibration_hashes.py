@@ -78,7 +78,7 @@ def _fabric_pair():
         ),
         (
             _noisy_suite,
-            "041cdb8c2e746e88f661fd4e9dff821bfdd80c968d64ffd42a2b3bbb635bcddb",
+            "60ee87641f2f30e44897de6682f92171fc334ed8a97373ccaeb8410c35f7fbfb",
         ),
         (
             _fabric_pair,

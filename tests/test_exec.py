@@ -14,6 +14,7 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -90,6 +91,14 @@ class TestSimJob:
         assert bcast_job(nbytes=16 * KiB).fingerprint() != base
         assert bcast_job(algorithm="chain").fingerprint() != base
         assert bcast_job(procs=4).fingerprint() != base
+
+    def test_replace_does_not_share_fingerprint_memo(self):
+        job = bcast_job()
+        base = job.fingerprint()
+        reseeded = dataclasses.replace(job, seed=1)
+        assert reseeded.fingerprint() != base
+        assert reseeded.fingerprint() == bcast_job(seed=1).fingerprint()
+        assert job.fingerprint() == base
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SimulationError, match="unknown job kind"):

@@ -5,8 +5,11 @@ The load-bearing properties:
 * the columnar fast path is **bit-for-bit identical** to the event-loop
   engine over the full calibration grid of every collective — broadcast,
   reduce, gather and barrier pipelines alike;
-* ineligible cells (noise, fault plans, unsupported algorithms) fall back
-  to :func:`repro.exec.execute_job` cleanly, still returning identical
+* noisy cells take the columnar path too, bit-identical to the event
+  loop, because every noise factor is keyed by message
+  (:mod:`repro.sim.noise`), never by the order an engine draws it in;
+* ineligible cells (fault plans, unsupported algorithms) fall back to
+  :func:`repro.exec.execute_job` cleanly, still returning identical
   results;
 * the runner's batched prefetch is equivalent to the serial path and a
   warm persistent cache replays a batch with *zero* new simulations;
@@ -17,18 +20,25 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.clusters import GRISOU, MINICLUSTER
+from repro.clusters.presets import DEFAULT_NOISE_SIGMA
 from repro.collectives import BARRIER_ALGORITHMS, GATHER_ALGORITHMS
 from repro.collectives.bcast import BCAST_ALGORITHMS, PAPER_BCAST_ALGORITHMS
 from repro.collectives.reduce import REDUCE_ALGORITHMS
 from repro.estimation.alphabeta import alphabeta_prefetch_jobs
 from repro.exec import ParallelRunner, ResultCache, SimJob, execute_job
 from repro.fabric import available_fabrics, build_fabric
+from repro.faults import HeavyTailSpec, compose_noise
 from repro.faults.plan import FaultPlan, StragglerFault
+from repro.service.artifact import build_artifact
 from repro.sim import batch
 from repro.sim.batch import BatchSimulator, dedupe_key, noise_free
+from repro.sim.noise import TERMS, LognormalNoise
 from repro.units import KiB, MiB
 
 SIZES = (1 * KiB, 64 * KiB, 1 * MiB)
@@ -127,20 +137,6 @@ class TestEmptyTrailer:
 
 
 class TestFallback:
-    def test_noisy_spec_falls_back_and_matches(self):
-        spec = MINICLUSTER.with_noise(0.2)
-        jobs = [
-            SimJob(spec=spec, kind="bcast", procs=8, algorithm="binomial",
-                   nbytes=8 * KiB, seed=seed)
-            for seed in (0, 1)
-        ]
-        assert not noise_free(spec)
-        sim = BatchSimulator()
-        assert sim.run(jobs) == [execute_job(job) for job in jobs]
-        assert sim.stats.columnar == 0
-        assert sim.stats.event_loop == 2
-        assert sim.stats.deduped == 0  # noisy seeds are distinct results
-
     def test_fault_plan_falls_back_and_matches(self):
         spec = MINICLUSTER.with_faults(
             FaultPlan(stragglers=(StragglerFault(node=2, inject_factor=2.0),))
@@ -154,6 +150,7 @@ class TestFallback:
         sim = BatchSimulator()
         assert sim.run(jobs) == [execute_job(job) for job in jobs]
         assert sim.stats.event_loop == 1
+        assert sim.stats.fallbacks == {"faulty spec": 1}
 
     def test_unsupported_algorithm_falls_back_and_matches(self):
         jobs = [
@@ -191,7 +188,7 @@ class TestRunnerIntegration:
         assert warm.stats.simulations == 0
 
 
-def fabric_grid(spec, procs, fabric, root=0):
+def fabric_grid(spec, procs, fabric, root=0, seed=0):
     """Both calibration composites of every bcast/reduce algorithm.
 
     Three shapes per algorithm: eager, unsegmented rendezvous, and a
@@ -207,13 +204,13 @@ def fabric_grid(spec, procs, fabric, root=0):
             jobs.append(SimJob(
                 spec=spec, kind="bcast_then_gather", procs=procs,
                 algorithm=algorithm, nbytes=nbytes, segment_size=segment,
-                gather_bytes=trailer, root=root,
+                gather_bytes=trailer, root=root, seed=seed,
             ))
         for algorithm in REDUCE_ALGORITHMS:
             jobs.append(SimJob(
                 spec=spec, kind="reduce_then_scatter", procs=procs,
                 algorithm=algorithm, nbytes=nbytes, segment_size=segment,
-                gather_bytes=trailer, root=root,
+                gather_bytes=trailer, root=root, seed=seed,
             ))
     return jobs
 
@@ -295,16 +292,19 @@ class TestFallbackLedger:
         assert sim.stats.fallbacks == {"egress call order violated": 1}
 
     def test_unsupported_algorithm_reason(self):
+        faulty = MINICLUSTER.with_noise(0.1).with_faults(
+            FaultPlan(noise=HeavyTailSpec(kind="pareto"))
+        )
         jobs = [SimJob(spec=MINICLUSTER, kind="bcast", procs=8,
                        algorithm="split_binary", nbytes=64 * KiB,
                        segment_size=8 * KiB),
-                SimJob(spec=MINICLUSTER.with_noise(0.1), kind="reduce",
+                SimJob(spec=faulty, kind="reduce",
                        procs=8, algorithm="binomial", nbytes=1 * KiB)]
         sim = BatchSimulator()
         assert sim.run(jobs) == [execute_job(job) for job in jobs]
         assert sim.stats.fallbacks == {
             "bcast algorithm 'split_binary'": 1,
-            "noisy or faulty spec": 1,
+            "faulty spec": 1,
         }
 
     def test_runner_folds_inline_ledger(self):
@@ -317,3 +317,149 @@ class TestFallbackLedger:
         assert stats.as_dict()["fallbacks"] == dict(sorted(
             stats.fallbacks.items()
         ))
+
+
+#: The paper's default jitter on the quiet test preset; GRISOU ships it.
+NOISY_MINICLUSTER = MINICLUSTER.with_noise(DEFAULT_NOISE_SIGMA)
+SEEDS = (0, 1, 2)
+#: Broadcasts the kernels do not implement: the only fallbacks expected.
+UNSUPPORTED = {
+    "bcast algorithm 'split_binary'", "bcast algorithm 'scatter_allgather'",
+}
+
+
+class TestNoisyParity:
+    """Keyed noise lets noisy cells batch, bit-for-bit."""
+
+    @pytest.mark.parametrize("fabric", ["flat", "leaf_spine_2to1"])
+    @pytest.mark.parametrize(
+        "spec,procs,root",
+        [(NOISY_MINICLUSTER, 16, 0), (GRISOU, 56, 3)],
+        ids=["minicluster", "grisou"],
+    )
+    def test_every_bcast_reduce_algorithm_bit_identical(
+        self, spec, procs, root, fabric
+    ):
+        assert not noise_free(spec)
+        jobs = [
+            job for seed in SEEDS
+            for job in fabric_grid(spec, procs, fabric, root=root, seed=seed)
+        ]
+        sim = BatchSimulator()
+        assert sim.run(jobs) == [execute_job(job) for job in jobs]
+        assert sim.stats.deduped == 0  # noisy seeds are distinct results
+        # Every cell the kernels implement runs columnar, the reduce
+        # leaves' start-up ties included.
+        assert set(sim.stats.fallbacks) <= UNSUPPORTED
+        assert sim.stats.columnar > sim.stats.event_loop
+
+    def test_plain_collectives_roots_policies_and_mappings(self):
+        jobs = [
+            SimJob(spec=NOISY_MINICLUSTER, kind=kind, procs=12,
+                   algorithm=algorithm, nbytes=nbytes, segment_size=segment,
+                   root=root, policy=policy, mapping=mapping, seed=seed)
+            for kind, algorithm in (
+                ("bcast", "linear"), ("bcast", "binomial"),
+                ("reduce", "linear"), ("reduce", "chain"),
+                ("gather", "linear"),
+            )
+            for nbytes, segment in ((2 * KiB, 0), (48 * KiB, 0),
+                                    (64 * KiB, 8 * KiB))
+            for root in (0, 5)
+            for policy in ("root", "global")
+            for mapping in ("block", "spread")
+            for seed in (3, 4)
+        ]
+        sim = BatchSimulator()
+        assert sim.run(jobs) == [execute_job(job) for job in jobs]
+        assert sim.stats.columnar == len(jobs)
+
+    def test_noisy_seeds_batch_bit_identical(self):
+        spec = MINICLUSTER.with_noise(0.2)
+        jobs = [
+            SimJob(spec=spec, kind="bcast", procs=8, algorithm="binomial",
+                   nbytes=8 * KiB, seed=seed)
+            for seed in (0, 1)
+        ]
+        sim = BatchSimulator()
+        results = sim.run(jobs)
+        assert results == [execute_job(job) for job in jobs]
+        assert results[0] != results[1]
+        assert sim.stats.columnar == 2
+        assert sim.stats.deduped == 0
+
+
+def _keys(ranks=4, messages=60):
+    return [
+        (rank, seq, term)
+        for rank in range(ranks)
+        for seq in range(messages)
+        for term in range(TERMS)
+    ]
+
+
+class TestKeyedNoise:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LognormalNoise(sigma=DEFAULT_NOISE_SIGMA, seed=5),
+            lambda: compose_noise(0.02, HeavyTailSpec(kind="mixture"), seed=5),
+            lambda: compose_noise(0.0, HeavyTailSpec(kind="pareto"), seed=5),
+        ],
+        ids=["lognormal", "lognormal+mixture", "pareto"],
+    )
+    def test_factor_independent_of_draw_order(self, make):
+        keys = _keys()
+        forward = make()
+        want = {key: forward.draw(*key) for key in keys}
+        shuffled = list(keys)
+        random.Random(1).shuffle(shuffled)
+        backward = make()
+        # Start from the far end, so streams grow several blocks at once.
+        got = {key: backward.draw(*key) for key in reversed(keys)}
+        assert got == want
+        replay = make()
+        assert {key: replay.draw(*key) for key in shuffled} == want
+
+    def test_reseed_switches_streams(self):
+        noise = LognormalNoise(sigma=0.05, seed=1)
+        first = noise.draw(3, 10, 2)
+        noise.reseed(2)
+        assert noise.draw(3, 10, 2) != first
+        noise.reseed(1)
+        assert noise.draw(3, 10, 2) == first
+
+    def test_keyed_stream_moments(self):
+        sigma = 0.1
+        noise = LognormalNoise(sigma=sigma, seed=11)
+        factors = np.array([noise.draw(*key) for key in _keys(40, 200)])
+        assert factors.mean() == pytest.approx(1.0, abs=0.005)
+        logs = np.log(factors)
+        assert logs.std() == pytest.approx(sigma, rel=0.02)
+        assert logs.mean() == pytest.approx(-0.5 * sigma * sigma, abs=0.003)
+
+
+class TestPoolLedger:
+    def test_jobs2_ledger_equals_jobs1(self):
+        kwargs = dict(
+            collectives=("bcast", "reduce"), procs=6, gamma_max_procs=4,
+            max_reps=3, proc_points=(2, 8, 16),
+            size_points=(8192, 65536),
+        )
+        built = []
+        for jobs in (1, 2):
+            runner = ParallelRunner(jobs=jobs, batch=True)
+            try:
+                built.append(build_artifact(NOISY_MINICLUSTER, runner=runner,
+                                            **kwargs))
+            finally:
+                runner.close()
+        serial, pooled = built
+        assert pooled.content_hash() == serial.content_hash()
+        ledger = serial.build_info["simulation"]
+        assert pooled.build_info["simulation"] == ledger
+        assert ledger["columnar_cells"] > ledger["event_loop_cells"]
+        assert ledger["topups"]["columnar_cells"] > 0
+        assert ledger["simulations"] == (
+            ledger["columnar_cells"] + ledger["event_loop_cells"]
+        )
